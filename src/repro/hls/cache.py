@@ -12,7 +12,9 @@ determines its content:
 * the macro set (``defines``) and synthesis constants (``const_env``),
 * the :class:`~repro.hls.compiler.HLSOptions` (whose frozen-dataclass
   ``repr`` covers every schedule/profiling knob),
-* the package version and cache format (so upgrades invalidate).
+* a fingerprint of the compiler's own sources — the ``frontend``,
+  ``ir`` and ``hls`` packages — and the cache format, so any edit to
+  the compiler invalidates every entry.
 
 Entries are pickled accelerators under ``~/.cache/repro`` (override
 with ``REPRO_CACHE_DIR`` or the ``directory`` argument), written
@@ -34,6 +36,7 @@ The cache is **opt-in**: nothing is read or written unless a
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -45,12 +48,40 @@ from .. import telemetry
 from .compiler import Accelerator, HLSOptions
 
 __all__ = [
-    "CompileCache", "configure_cache", "get_default_cache", "resolve_cache",
-    "default_cache_dir",
+    "CompileCache", "compiler_fingerprint", "configure_cache",
+    "get_default_cache", "resolve_cache", "default_cache_dir",
 ]
 
 #: bump to invalidate every existing cache entry on format changes
 _FORMAT = 1
+
+#: the packages whose sources determine what a compile produces
+_COMPILER_PACKAGES = ("frontend", "ir", "hls")
+
+
+@functools.lru_cache(maxsize=None)
+def compiler_fingerprint() -> str:
+    """sha256 over the compiler's source files, computed once per process.
+
+    Covers every ``.py`` file of ``repro.frontend``, ``repro.ir`` and
+    ``repro.hls`` (relative path and content, in sorted order), so an
+    edit to any of them changes every cache key.
+    """
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for package in _COMPILER_PACKAGES:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root,
+                                                                 package)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, root).encode("utf-8"))
+                with open(path, "rb") as handle:
+                    digest.update(hashlib.sha256(handle.read()).digest())
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> str:
@@ -84,10 +115,9 @@ class CompileCache:
             options: Optional[HLSOptions] = None) -> str:
         """Content hash of everything that determines the accelerator."""
 
-        from .. import __version__
         payload = json.dumps({
             "format": _FORMAT,
-            "repro": __version__,
+            "compiler": compiler_fingerprint(),
             "source": source,
             "defines": sorted((str(k), repr(v))
                               for k, v in (defines or {}).items()),

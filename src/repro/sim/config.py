@@ -67,12 +67,15 @@ class SimConfig:
     max_cycles: int = 4_000_000_000
     #: extra cycles for kernel start (context load) per launch
     launch_overhead: int = 200
-    #: pipelined-loop execution strategy: ``"auto"``/``"vectorized"``
-    #: use the trip-batched numpy fast path (falling back to the scalar
-    #: interpreter per loop when a segment is not vectorizable),
-    #: ``"reference"`` forces the scalar oracle everywhere.  All modes
-    #: produce bit-identical cycles, traces, stalls and DRAM counters.
-    exec_mode: str = "auto"
+    #: loop execution strategy.  ``"fast"`` runs every pipelined loop,
+    #: and every flattenable sequential nest around one, through the
+    #: codegen'd timing driver of :mod:`repro.sim.fastpath` with numpy
+    #: value kernels (a loop whose segment does not vectorize, or a
+    #: chunk its kernel refuses, takes the scalar interpreter);
+    #: ``"reference"`` forces the scalar oracle everywhere.  Both
+    #: produce bit-identical cycles, traces, stalls, DRAM counters and
+    #: attribution tables; any other value raises ``ValueError``.
+    exec_mode: str = "fast"
     #: cycle accounting: attribute every non-useful cycle of every
     #: thread to a cause (II limit, BRAM port conflict, DRAM latency /
     #: arbitration / row miss, sync wait, drain, control), per schedule

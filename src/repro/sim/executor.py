@@ -51,8 +51,7 @@ from ..profiling.recorder import ProfilingRecorder, RunTrace
 from .config import SimConfig
 from .engine import Engine, Subrun, Event
 from .fastpath import (
-    ChunkAttr, LoopPlan, NestPlan, build_nest_plan, build_plan, prepare_nest,
-    run_fast_chunk,
+    NestPlan, build_loop_plan, build_nest_plan, prepare_loop, prepare_nest,
 )
 from .interp import (
     CompiledSegment, KernelFunctionalContext, ThreadMemView, compile_segment,
@@ -190,13 +189,12 @@ class Simulation:
                  config: Optional[SimConfig] = None):
         self.acc = accelerator
         self.config = config or SimConfig()
-        if self.config.exec_mode not in ("auto", "vectorized", "reference"):
+        if self.config.exec_mode not in ("reference", "fast"):
             raise ValueError(
                 f"unknown exec_mode {self.config.exec_mode!r}: expected "
-                f"'auto', 'vectorized' or 'reference'")
+                f"'reference' or 'fast'")
         self.kernel: Kernel = accelerator.kernel
         self._compiled: dict[int, CompiledSegment] = {}
-        self._plans: dict[int, Optional[LoopPlan]] = {}
         self._nest_plans: dict[int, Optional[NestPlan]] = {}
         self._external_uses = self._compute_external_uses()
 
@@ -231,33 +229,24 @@ class Simulation:
             self._compiled[segment.uid] = cs
         return cs
 
-    def _get_loop_plan(self, item: LoopNode) -> Optional[LoopPlan]:
-        if item.uid < 0:  # hand-built schedule: no stable cache key
-            return None
-        if item.uid not in self._plans:
-            segment = item.body.items[0] if item.body.items else None
-            has_group = isinstance(segment, Segment) and \
-                self.acc.schedule.local_groups.get(segment.uid) is not None
-            self._plans[item.uid] = build_plan(item, self._external_uses,
-                                               has_group,
-                                               self.config.attribution)
-        return self._plans[item.uid]
-
     def _get_nest_plan(self, item: LoopNode) -> Optional[NestPlan]:
-        """Flattenable-nest plan for a sequential loop (None if not one).
+        """Fast-path plan of a loop (None if it has none).
 
-        Nests never dispatch with attribution on — the per-chunk
-        ``ChunkAttr`` accounting is not modelled by the generated
-        driver, and the reference plus the per-entry fast path already
-        cover that mode bit-identically.
+        A pipelined loop gets a depth-0 plan; a sequential loop gets
+        one only if it heads a flattenable nest.
         """
 
-        if item.uid < 0 or self.config.attribution:
+        if item.uid < 0:  # hand-built schedule: no stable cache key
             return None
         if item.uid not in self._nest_plans:
-            self._nest_plans[item.uid] = build_nest_plan(
-                item, self.acc.schedule, self._external_uses, self.config,
-                self._get_compiled)
+            schedule = self.acc.schedule
+            if item.pipelined:
+                plan = build_loop_plan(item, schedule, self._external_uses,
+                                       self.config)
+            else:
+                plan = build_nest_plan(item, schedule, self._external_uses,
+                                       self.config, self._get_compiled)
+            self._nest_plans[item.uid] = plan
         return self._nest_plans[item.uid]
 
     # ------------------------------------------------------------------
@@ -447,7 +436,7 @@ class _Runtime:
         #: per-thread finish cycle (-1 while running), for join accounting
         self.finish_times = [-1] * len(stalls)
         self.attribution = sim.config.attribution
-        self.fast_enabled = sim.config.exec_mode != "reference"
+        self.fast_enabled = sim.config.exec_mode == "fast"
         #: fast-path accounting (sim.fastpath.* telemetry)
         self.fp_batches = 0
         self.fp_iters = 0
@@ -456,8 +445,6 @@ class _Runtime:
         self.nests_flattened = 0
         self.entries_batched = 0
         self.nest_fallbacks = 0
-        #: loop uid -> static argument tail for the plan's timing loop
-        self.tl_static: dict[int, tuple] = {}
         #: per-thread (read, write) port history lists, hoisted out of
         #: the per-chunk path
         self.port_hists = [
@@ -756,7 +743,7 @@ class _Runtime:
     # ------------------------------------------------------------------
     def run_sequential_loop(self, item: LoopNode, tid: int,
                             ctx: KernelFunctionalContext, acct=None):
-        if acct is None and self.fast_enabled and item.uid >= 0:
+        if self.fast_enabled and item.uid >= 0:
             nplan = self.sim._get_nest_plan(item)
             if nplan is not None:
                 state = self.loop_states.setdefault(id(nplan.pipe),
@@ -765,7 +752,8 @@ class _Runtime:
                 if nplan.group_id is not None:
                     group = self.group_states.setdefault(nplan.group_id,
                                                          _LoopState())
-                gen = prepare_nest(self, nplan, tid, ctx, state, group)
+                gen = prepare_nest(self, nplan, tid, ctx, state, group,
+                                   acct)
                 if gen is not None:
                     self.nests_flattened += 1
                     # Subrun instead of `yield from`: the driver resumes
@@ -818,7 +806,7 @@ class _Runtime:
         segment = item.body.items[0]
         assert isinstance(segment, Segment)
         compiled = self.sim._get_compiled(segment)
-        plan = self.sim._get_loop_plan(item) if self.fast_enabled else None
+        plan = self.sim._get_nest_plan(item) if self.fast_enabled else None
         state = self.loop_states.setdefault(id(item), _LoopState())
         schedule = self.sim.acc.schedule
         group_id = schedule.local_groups.get(segment.uid)
@@ -855,22 +843,26 @@ class _Runtime:
         if rt is None:
             rt = self._make_loop_rt(item)
             self.loop_rts[id(item)] = rt
-        (segment, compiled, plan, state, group, group_cost, iv_id, chunk,
-         window, ii, rec_ii, depth) = rt
+        (segment, _compiled, plan, state, group, _group_cost, _iv_id, chunk,
+         _window, _ii, rec_ii, depth) = rt
+        if plan is not None:
+            # Subrun: the engine steps the driver directly (see
+            # run_sequential_loop)
+            yield Subrun(prepare_loop(self, plan, tid, ctx, state, group,
+                                      acct, rt, lower, step, trips))
+            return
         recorder = self.recorder
-        mem = ctx.mem
-
-        attr = None
-        region = 0
         parts = None
-        last_parts = (0, 0, 0)
+        region = 0
         if acct is not None:
-            attr = ChunkAttr()
-            parts = attr.parts
+            # (row, arb, latency) split of each in-flight iteration's
+            # late response, mirroring ``inflight`` one for one
+            parts = deque()
             region = loop_region(item.uid)
 
         cursor = self.engine.now  # this thread's next possible issue
         last_retire = cursor
+        last_parts = (0, 0, 0)
         # retire times of in-flight iterations
         inflight: deque[int] = deque()
         iv = lower
@@ -878,106 +870,17 @@ class _Runtime:
         while remaining > 0:
             batch = min(chunk, remaining)
             chunk_start = cursor
-            fast = None
-            if plan is not None:
-                fast = run_fast_chunk(self, plan, item, tid, ctx, state,
-                                      group, group_cost, window, inflight,
-                                      iv, step, batch, cursor, attr)
-            if fast is not None:
-                cursor, retire_hi, chunk_stall = fast
-                self.fp_batches += 1
-                self.fp_iters += batch
-                chunk_flops = segment.flops * batch
-                chunk_intops = segment.intops * batch
-                chunk_rbytes = plan.rbytes_iter * batch
-                chunk_wbytes = plan.wbytes_iter * batch
-                if retire_hi > last_retire:
-                    last_retire = retire_hi
-                    if attr is not None:
-                        last_parts = attr.rm_parts
-                if attr is not None:
-                    c_ii, c_port = attr.aii, attr.aport
-                    c_row, c_arb, c_lat = (attr.bp_row, attr.bp_arb,
-                                           attr.bp_lat)
-                iv += step * batch
-                remaining -= batch
-            else:
-                if self.fast_enabled:
-                    self.fp_fallbacks += 1
-                chunk_flops = 0
-                chunk_intops = 0
-                chunk_rbytes = 0
-                chunk_wbytes = 0
-                chunk_stall = 0
-                c_ii = c_port = c_row = c_arb = c_lat = 0
-                for _ in range(batch):
-                    issue = state.book(cursor, ii)
-                    if attr is not None:
-                        c_ii += issue - cursor
-                    if group is not None:
-                        if attr is None:
-                            issue = group.book(issue, group_cost)
-                        else:
-                            booked = group.book(issue, group_cost)
-                            c_port += booked - issue
-                            issue = booked
-                    if len(inflight) >= window:
-                        # stage buffers full: a late memory response now
-                        # stalls this thread's pipeline (backpressure)
-                        oldest = inflight.popleft()
-                        oldest_parts = parts.popleft() \
-                            if attr is not None else None
-                        if oldest - depth > issue:
-                            bp = oldest - depth - issue
-                            chunk_stall += bp
-                            issue = oldest - depth
-                            if attr is not None:
-                                row, arb_part, latency = self._peel(
-                                    bp, oldest_parts[0], oldest_parts[1])
-                                c_row += row
-                                c_arb += arb_part
-                                c_lat += latency
-                    ctx.values[iv_id] = iv
-                    mem.trace.clear()
-                    self._call_segment(compiled, ctx)
-                    extra = 0
-                    iter_parts = (0, 0, 0)
-                    if segment.mem_ops:
-                        if attr is None:
-                            extra = self._issue_mem(segment, tid, mem.trace,
-                                                    issue)
-                        else:
-                            extra, penalty, arb = self._issue_mem_attr(
-                                segment, tid, mem.trace, issue)
-                        if extra < 0:
-                            extra = 0
-                        elif attr is not None and extra:
-                            iter_parts = self._peel(extra, penalty, arb)
-                        for _, nbytes, is_write, _name in mem.trace:
-                            if is_write:
-                                chunk_wbytes += nbytes
-                            else:
-                                chunk_rbytes += nbytes
-                    retire = issue + depth + extra
-                    inflight.append(retire)
-                    if attr is not None:
-                        parts.append(iter_parts)
-                    cursor = issue + rec_ii
-                    # a late response suspends the consuming stage for
-                    # `extra` cycles (§IV-B.2a) even when reordering hides
-                    # it globally
-                    chunk_stall += extra
-                    chunk_flops += segment.flops
-                    chunk_intops += segment.intops
-                    if retire > last_retire:
-                        last_retire = retire
-                        if attr is not None:
-                            last_parts = iter_parts
-                    iv += step
-                remaining -= batch
+            if self.fast_enabled:
+                self.fp_fallbacks += 1
+            (cursor, last_retire, last_parts, chunk_rbytes, chunk_wbytes,
+             chunk_stall, c_ii, c_port, c_row, c_arb, c_lat) = \
+                self.scalar_chunk(rt, tid, ctx, inflight, parts, iv, step,
+                                  batch, cursor, last_retire, last_parts)
+            iv += step * batch
+            remaining -= batch
             recorder.add_many(chunk_start, last_retire, tid, (
-                (EventKind.FLOPS, chunk_flops),
-                (EventKind.INTOPS, chunk_intops),
+                (EventKind.FLOPS, segment.flops * batch),
+                (EventKind.INTOPS, segment.intops * batch),
                 (EventKind.MEM_READ_BYTES, chunk_rbytes),
                 (EventKind.MEM_WRITE_BYTES, chunk_wbytes),
                 (EventKind.STALLS, chunk_stall)))
@@ -1011,6 +914,92 @@ class _Runtime:
                 acct.deposit(self.engine.now, last_retire, region,
                              (0, 0, 0, latency, arb_part, row, 0, drain, 0))
             yield tail
+
+    def scalar_chunk(self, rt: tuple, tid: int,
+                     ctx: KernelFunctionalContext, inflight, parts,
+                     iv: int, step: int, batch: int, cursor: int,
+                     last_retire: int, last_parts: tuple):
+        """Run ``batch`` pipelined trips through the scalar interpreter.
+
+        The reference per-trip model: functional evaluation through the
+        compiled segment, leaky-bucket issue booking, window
+        backpressure and per-access port/DRAM booking.  ``rt`` is the
+        loop's :meth:`_make_loop_rt` tuple; ``parts`` is ``None`` unless
+        cycle accounting is on.  Returns ``(cursor, last_retire,
+        last_parts, read bytes, written bytes, stall, ii, port, row,
+        arb, latency)``, the last five being the chunk's accounted
+        cycles.  Also the depth-0 driver's fallback for a chunk its
+        value kernel refuses.
+        """
+
+        (segment, compiled, _plan, state, group, group_cost, iv_id, _chunk,
+         window, ii, rec_ii, depth) = rt
+        attr = parts is not None
+        mem = ctx.mem
+        chunk_rbytes = 0
+        chunk_wbytes = 0
+        chunk_stall = 0
+        c_ii = c_port = c_row = c_arb = c_lat = 0
+        for _ in range(batch):
+            issue = state.book(cursor, ii)
+            if attr:
+                c_ii += issue - cursor
+            if group is not None:
+                if not attr:
+                    issue = group.book(issue, group_cost)
+                else:
+                    booked = group.book(issue, group_cost)
+                    c_port += booked - issue
+                    issue = booked
+            if len(inflight) >= window:
+                # stage buffers full: a late memory response now
+                # stalls this thread's pipeline (backpressure)
+                oldest = inflight.popleft()
+                oldest_parts = parts.popleft() if attr else None
+                if oldest - depth > issue:
+                    bp = oldest - depth - issue
+                    chunk_stall += bp
+                    issue = oldest - depth
+                    if attr:
+                        row, arb_part, latency = self._peel(
+                            bp, oldest_parts[0], oldest_parts[1])
+                        c_row += row
+                        c_arb += arb_part
+                        c_lat += latency
+            ctx.values[iv_id] = iv
+            mem.trace.clear()
+            self._call_segment(compiled, ctx)
+            extra = 0
+            iter_parts = (0, 0, 0)
+            if segment.mem_ops:
+                if not attr:
+                    extra = self._issue_mem(segment, tid, mem.trace, issue)
+                else:
+                    extra, penalty, arb = self._issue_mem_attr(
+                        segment, tid, mem.trace, issue)
+                if extra < 0:
+                    extra = 0
+                elif attr and extra:
+                    iter_parts = self._peel(extra, penalty, arb)
+                for _, nbytes, is_write, _name in mem.trace:
+                    if is_write:
+                        chunk_wbytes += nbytes
+                    else:
+                        chunk_rbytes += nbytes
+            retire = issue + depth + extra
+            inflight.append(retire)
+            if attr:
+                parts.append(iter_parts)
+            cursor = issue + rec_ii
+            # a late response suspends the consuming stage for `extra`
+            # cycles (§IV-B.2a) even when reordering hides it globally
+            chunk_stall += extra
+            if retire > last_retire:
+                last_retire = retire
+                last_parts = iter_parts
+            iv += step
+        return (cursor, last_retire, last_parts, chunk_rbytes, chunk_wbytes,
+                chunk_stall, c_ii, c_port, c_row, c_arb, c_lat)
 
     # ------------------------------------------------------------------
     def flush_ticker(self, done_events: list[Event]):

@@ -1,30 +1,39 @@
-"""Trip-batched execution of pipelined leaf loops.
+"""One fast timing engine for pipelined loops and the nests around them.
 
 The scalar reference in :mod:`repro.sim.executor` walks a pipelined
 loop one iteration at a time: functional evaluation through the
 compiled segment, then leaky-bucket issue booking, window backpressure
-and per-access DRAM booking.  This module executes the same loop one
-*chunk* (``SimConfig.loop_chunk`` trips) at a time:
+and per-access DRAM booking.  This module runs the same work through a
+:class:`NestPlan` and one exec-codegen'd timing generator per plan
+(:func:`_compile_nest_driver`):
 
-* the functional work runs once per chunk through a
-  :class:`~repro.sim.interp.VectorizedSegment` (numpy over the trip
-  axis), which also yields the external-access element indices the
-  timing model needs;
-* for loops without external *reads* the leaky-bucket issue recurrence
-  ``issue_k = max(earliest_k, issue_{k-1} + rec_ii)`` is solved in
-  closed form with a cumulative maximum (window backpressure cannot
-  bind because retire times are monotone when ``extra`` is zero — the
-  executor still re-checks the precondition against the in-flight
-  window before trusting this);
-* loops with reads keep the exact per-trip recurrence — a late DRAM
-  response feeds back into the next issue — but run it as a tight
-  local loop over precomputed address lists, reusing the *same*
-  ``PortSet.request`` state machine as the reference.
+* a plan describes a pipelined leaf loop plus the sequential loops
+  that wrap it (``levels``).  A lone pipelined loop — a top-level loop,
+  or the per-entry path of a nest that does not flatten — is a
+  *depth-0* plan with no levels;
+* a nest with levels evaluates all ``entries x trips`` iterations in
+  one nest-mode numpy value kernel when it is dispatched
+  (:func:`prepare_nest`; entry boundaries become reset points of the
+  accumulator scan).  A depth-0 plan calls its value kernel once per
+  chunk (``SimConfig.loop_chunk`` trips), at the chunk's start
+  (:func:`prepare_loop`), so a lone loop keeps the reference's
+  chunk-granular view of memory that other threads write;
+* the generated driver replays the reference's control skeleton — loop
+  bubbles, leading segments, the per-trip issue recurrence over
+  precomputed bank/row lists, trailing segments and critical sections —
+  with the same yields and the same shared-state mutations, at the same
+  simulated times.  Profiling deposits are made eagerly at the
+  reference deposit points: any deferral would reorder same-bin float
+  accumulation against concurrently-running loops (double buffering)
+  and drift the binned series by an ulp.  With
+  ``SimConfig.attribution`` on, the driver also makes the reference's
+  cycle-accounting deposits; that code is only emitted then.
 
-Every decision point falls back to replaying the batch through the
-reference scalar machinery (:class:`~repro.sim.interp.VectorFallback`
-is raised before any functional side effect), so all modes produce
-bit-identical cycles, traces, stalls and DRAM counters.
+A :class:`~repro.sim.interp.VectorFallback` (raised before any
+functional side effect) sends a nest back to the reference per-entry
+path, and a depth-0 chunk to the scalar interpreter for that chunk
+only, so both modes produce bit-identical cycles, traces, stalls, DRAM
+counters and attribution tables.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import numpy as np
 from ..hls.schedule import CriticalNode, LoopNode, Segment
 from ..ir.ops import Opcode
 from ..ir.types import MemorySpace
+from ..profiling.attribution import REGION_SYNC, loop_region, segment_region
 from ..profiling.config import EventKind, ThreadState
 from .engine import Event
 from .interp import (
@@ -44,33 +54,8 @@ from .interp import (
     compile_segment_vectorized,
 )
 
-__all__ = ["ChunkAttr", "LoopPlan", "NestPlan", "build_plan",
-           "build_nest_plan", "prepare_nest", "run_fast_chunk"]
-
-
-class ChunkAttr:
-    """Per-chunk cycle-accounting scratch shared with the executor.
-
-    ``parts`` mirrors the in-flight retire deque one-for-one: for each
-    in-flight iteration it stores the ``(row, arb, latency)`` split of
-    that iteration's late-response ``extra``, so backpressure and the
-    final drain tail can be peeled into the same DRAM sub-causes that
-    produced them.  The scalar fallback in the executor reads and
-    maintains the same deque, keeping the decomposition bit-identical
-    across chunk strategies.
-    """
-
-    __slots__ = ("parts", "aii", "aport", "bp_row", "bp_arb", "bp_lat",
-                 "rm_parts")
-
-    def __init__(self) -> None:
-        self.parts: deque[tuple[int, int, int]] = deque()
-        self.aii = 0
-        self.aport = 0
-        self.bp_row = 0
-        self.bp_arb = 0
-        self.bp_lat = 0
-        self.rm_parts = (0, 0, 0)
+__all__ = ["NestPlan", "build_loop_plan", "build_nest_plan", "prepare_loop",
+           "prepare_nest"]
 
 
 _IOTA = np.arange(64, dtype=np.int64)
@@ -84,428 +69,6 @@ def _iota(n: int) -> np.ndarray:
         _IOTA = np.arange(n, dtype=np.int64)
     return _IOTA[:n]
 
-
-@dataclass
-class LoopPlan:
-    """Everything the fast path needs about one pipelined loop."""
-
-    vseg: VectorizedSegment
-    iv_id: int
-    #: per external access, in segment order: (stage offset, stage
-    #: offset + scheduled latency, bytes moved, is_write, buffer name)
-    mem: list[tuple[int, int, int, bool, str]]
-    has_reads: bool
-    rbytes_iter: int
-    wbytes_iter: int
-    #: exec-compiled per-trip timing recurrence (see
-    #: :func:`_compile_timing_loop`)
-    tfn: object
-
-
-def build_plan(item: LoopNode, external_uses: set[int], has_group: bool,
-               attribution: bool = False):
-    """Compile the loop's body for batched execution (None if unsupported)."""
-
-    if len(item.body.items) != 1:
-        return None
-    segment = item.body.items[0]
-    if not isinstance(segment, Segment) or segment.uid < 0:
-        return None
-    iv_id = item.op.defined[0].id
-    try:
-        vseg = compile_segment_vectorized(segment, external_uses, iv_id)
-    except VectorizeError:
-        return None
-    mem: list[tuple[int, int, int, bool, str]] = []
-    rbytes = wbytes = 0
-    for memop in segment.mem_ops:
-        op = memop.op
-        base = op.operands[0]
-        # byte counts exactly as ThreadMemView traces them
-        if op.opcode is Opcode.LOAD:
-            nbytes = _lanes(op.result.type) * _elem_bytes(base.type.elem)
-        else:
-            nbytes = _lanes(op.operands[2].type) * _elem_bytes(base.type.elem)
-        mem.append((memop.start, memop.start + memop.sched_latency, nbytes,
-                    memop.is_write, base.name))
-        if memop.is_write:
-            wbytes += nbytes
-        else:
-            rbytes += nbytes
-    tfn = _compile_timing_loop(mem, has_group, item.uid, attribution)
-    return LoopPlan(vseg, iv_id, mem, any(not m[3] for m in mem),
-                    rbytes, wbytes, tfn)
-
-
-def run_fast_chunk(runtime, plan: LoopPlan, item: LoopNode, tid: int, ctx,
-                   state, group, group_cost: int, window: int, inflight,
-                   iv: int, step: int, batch: int, cursor: int, attr=None):
-    """Execute one chunk of ``batch`` trips; ``None`` requests a scalar redo.
-
-    On success returns ``(cursor, retire_max, stall)`` with all shared
-    state (values/vars/buffers, bucket states, in-flight window, ports,
-    DRAM) advanced exactly as ``batch`` reference iterations would have
-    left it.
-    """
-
-    vseg = plan.vseg
-    values = ctx.values
-    ivs = iv + step * _iota(batch)
-    try:
-        outs, idxs = vseg.fn(ctx, ctx.vars, ctx.mem, ivs, batch,
-                             *[values[vid] for vid in vseg.inputs])
-    except VectorFallback:
-        return None
-    for vid, value in zip(vseg.outputs, outs):
-        values[vid] = value
-    values[plan.iv_id] = int(ivs[-1])
-
-    buffers = runtime.buffers
-    depth, ii, rec_ii = item.depth, item.ii, item.rec_ii
-    if plan.has_reads or (inflight and max(inflight) - depth > cursor):
-        # DRAM lateness feeds back into the issue recurrence (or an
-        # earlier scalar chunk left a non-monotone window): replay the
-        # exact per-trip machinery over the precomputed addresses.
-        return _run_timing_loop(runtime, plan, item, tid, state, group,
-                                group_cost, window, inflight, batch, cursor,
-                                idxs, attr)
-    issue = _closed_form_issue(state, group, group_cost, ii, rec_ii, batch,
-                               cursor, attr)
-    if issue is None:  # an epoch reset inside the batch: replay exactly
-        return _run_timing_loop(runtime, plan, item, tid, state, group,
-                                group_cost, window, inflight, batch, cursor,
-                                idxs, attr)
-    if len(plan.mem) == 1:
-        start, _off, nbytes, is_write, name = plan.mem[0]
-        buf = buffers[name]
-        addrs = (buf.base_addr + idxs[0] * buf.elem_bytes).tolist()
-        runtime.ports.request_many(tid, (issue + start).tolist(), addrs,
-                                   nbytes, is_write)
-    elif plan.mem:
-        request = runtime.ports.request
-        mems = []
-        for (start, _off, nbytes, is_write, name), idx in zip(plan.mem,
-                                                              idxs):
-            buf = buffers[name]
-            mems.append((start, nbytes, is_write,
-                         (buf.base_addr + idx * buf.elem_bytes).tolist()))
-        ilist = issue.tolist()
-        for k in range(batch):
-            at = ilist[k]
-            for start, nbytes, is_write, addrs in mems:
-                request(tid, at + start, addrs[k], nbytes, is_write)
-    retires = issue + depth
-    inflight.extend(retires.tolist())
-    while len(inflight) > window:
-        inflight.popleft()
-    if attr is not None:
-        # no reads and a monotone window: extra is zero for every trip,
-        # so backpressure contributes nothing and the split parts of
-        # each in-flight iteration are all zero
-        attr.bp_row = attr.bp_arb = attr.bp_lat = 0
-        attr.rm_parts = (0, 0, 0)
-        parts = attr.parts
-        parts.extend(((0, 0, 0),) * batch)
-        while len(parts) > window:
-            parts.popleft()
-    return int(issue[-1]) + rec_ii, int(retires[-1]), 0
-
-
-def _closed_form_issue(state, group, group_cost: int, ii: int, rec_ii: int,
-                       batch: int, cursor: int, attr=None):
-    """Solve the leaky-bucket issue recurrence for a whole batch.
-
-    Valid when per-trip ``extra`` is zero (no external reads) and the
-    in-flight window cannot bind.  Epoch resets are decided once at
-    batch entry; if the issue times reveal that a reset would have
-    fired *inside* the batch, no state is committed and ``None`` tells
-    the caller to replay per-trip.
-    """
-
-    gap = state._GAP
-    ks = _iota(batch)
-    reset1 = state.first < 0 or cursor > state.first + state.count * ii + gap
-    f1, n1 = (cursor, 0) if reset1 else (state.first, state.count)
-    e1 = f1 + (n1 + ks) * ii
-    head = int(e1[0])
-    i1_0 = head if head > cursor else cursor
-    if group is not None:
-        reset2 = group.first < 0 or \
-            i1_0 > group.first + group.count * group_cost + gap
-        f2, n2 = (i1_0, 0) if reset2 else (group.first, group.count)
-        e2 = f2 + (n2 + ks) * group_cost
-        earliest = np.maximum(e1, e2)
-    else:
-        e2 = None
-        earliest = e1
-    base = earliest - ks * rec_ii
-    if cursor > earliest[0]:
-        base[0] = cursor
-    np.maximum.accumulate(base, out=base)
-    issue = base + ks * rec_ii
-    if batch > 1:
-        arrivals = issue[:-1] + rec_ii  # bucket arrival times, trips 1..n-1
-        if np.any(arrivals > e1[1:] + gap):
-            return None
-        if e2 is not None and \
-                np.any(np.maximum(e1[1:], arrivals) > e2[1:] + gap):
-            return None
-    state.first = f1
-    state.count = n1 + batch
-    if group is not None:
-        group.first = f2
-        group.count = n2 + batch
-    if attr is not None:
-        # issue_k = max(cur_k, e1_k, e2_k) with cur_k the thread's own
-        # arrival (previous issue + rec_ii): the II share is what the
-        # shared-datapath bucket adds over the arrival, the port share
-        # is what the BRAM group adds on top — exactly the scalar
-        # per-trip ``issue - cursor`` / ``booked - issue`` deltas
-        cur = np.empty_like(issue)
-        cur[0] = cursor
-        if batch > 1:
-            np.add(issue[:-1], rec_ii, out=cur[1:])
-        m1 = np.maximum(cur, e1)
-        attr.aii = int((m1 - cur).sum())
-        attr.aport = int((issue - m1).sum())
-    return issue
-
-
-def _run_timing_loop(runtime, plan: LoopPlan, item, tid: int, state, group,
-                     group_cost: int, window: int, inflight, batch: int,
-                     cursor: int, idxs, attr=None):
-    """Drive the plan's compiled timing loop and commit port/DRAM state."""
-
-    ports = runtime.ports
-    memory = ports.memory
-    tail = runtime.tl_static.get(item.uid)
-    if tail is None:
-        cfg = memory.config
-        buffers = runtime.buffers
-        parts = [item.ii, item.rec_ii, item.depth, group_cost, window,
-                 ports.outstanding_limit, cfg.row_miss_penalty,
-                 cfg.base_latency, cfg.interleave_bytes, cfg.channels,
-                 cfg.row_bytes, cfg.banks_per_channel,
-                 cfg.row_bytes * cfg.banks_per_channel * cfg.channels,
-                 memory._bank_row, memory._bank_ready, memory._bus_busy]
-        for _start, _off, nbytes, _is_write, name in plan.mem:
-            buf = buffers[name]
-            parts += [cfg.request_overhead
-                      + max(1, -(-nbytes // cfg.width_bytes)),
-                      buf.base_addr, buf.elem_bytes]
-        tail = tuple(parts)
-        runtime.tl_static[item.uid] = tail
-    last_completion = ports._last_completion
-    hist_r, hist_w = runtime.port_hists[tid]
-    if attr is None:
-        cursor, retire_max, stall, last_r, last_w, row_misses, arb = plan.tfn(
-            batch, cursor, state, group, inflight,
-            hist_r, last_completion.get((tid, False), 0),
-            hist_w, last_completion.get((tid, True), 0),
-            *[idx.tolist() for idx in idxs], *tail)
-    else:
-        (cursor, retire_max, stall, last_r, last_w, row_misses, arb,
-         attr.aii, attr.aport, attr.bp_row, attr.bp_arb, attr.bp_lat,
-         rm_r, rm_a, rm_l) = plan.tfn(
-            batch, cursor, state, group, inflight, attr.parts,
-            hist_r, last_completion.get((tid, False), 0),
-            hist_w, last_completion.get((tid, True), 0),
-            *[idx.tolist() for idx in idxs], *tail)
-        attr.rm_parts = (rm_r, rm_a, rm_l)
-    last_completion[(tid, False)] = last_r
-    last_completion[(tid, True)] = last_w
-    memory.requests += batch * len(plan.mem)
-    memory.bytes_read += batch * plan.rbytes_iter
-    memory.bytes_written += batch * plan.wbytes_iter
-    memory.row_misses += row_misses
-    memory.arbitration_wait_cycles += arb
-    return cursor, retire_max, stall
-
-
-def _compile_timing_loop(mem, has_group: bool, uid: int,
-                         attribution: bool = False):
-    """exec-compile the reference per-trip timing recurrence for one loop.
-
-    The leaky-bucket booking, Avalon port limit and DRAM channel/bank
-    model are emitted inline — same arithmetic, same mutation order as
-    ``_LoopState.book`` / ``PortSet.request`` /
-    ``ExternalMemory.access_time`` — with the loop's memop structure
-    (count, order, read/write direction, stage offsets) folded into the
-    generated source.  This runs once per *trip*; the attribute,
-    dictionary and tuple-unpack traffic a generic interpreter-style
-    loop would pay per access is what this codegen removes.
-
-    The generated function returns
-    ``(cursor, retire_max, stall, last_r, last_w, row_misses, arb)``;
-    the caller commits the port/DRAM aggregate counters.  With
-    ``attribution`` the signature gains the ``parts`` deque (mirroring
-    ``inflight``) and the return tuple grows the cycle-accounting
-    accumulators — the timing arithmetic itself is unchanged.
-    """
-
-    args = ["batch", "cursor", "state", "group", "inflight"]
-    if attribution:
-        args += ["parts"]
-    args += ["hist_r", "last_r", "hist_w", "last_w"]
-    args += [f"a{i}" for i in range(len(mem))]
-    args += ["ii", "rec_ii", "depth", "group_cost", "window", "limit",
-             "rmp", "base_latency", "interleave", "channels", "row_bytes",
-             "banks_per_channel", "row_span", "brow", "brdy", "bus_busy"]
-    args += [x for i in range(len(mem)) for x in (f"t{i}", f"b{i}", f"e{i}")]
-    lines = [f"def _tloop({', '.join(args)}):"]
-    w = lines.append
-    w("    pop = inflight.popleft")
-    w("    push = inflight.append")
-    if attribution:
-        w("    parts_pop = parts.popleft")
-        w("    parts_push = parts.append")
-    w("    gap = state._GAP")
-    w("    s_first = state.first; s_count = state.count")
-    if has_group:
-        w("    g_first = group.first; g_count = group.count")
-    w("    stall = 0; retire_max = 0; rm = 0; arb = 0")
-    if attribution:
-        w("    aii = 0; aport = 0; bp_row = 0; bp_arb = 0; bp_lat = 0")
-        w("    rm_r = 0; rm_a = 0; rm_l = 0")
-    w("    for k in range(batch):")
-    w("        # _LoopState.book(cursor, ii)")
-    w("        if s_first < 0 or cursor > s_first + s_count * ii + gap:")
-    w("            s_first = cursor; s_count = 1; issue = cursor")
-    w("        else:")
-    w("            earliest = s_first + s_count * ii")
-    w("            issue = cursor if cursor > earliest else earliest")
-    w("            s_count += 1")
-    if attribution:
-        w("        aii += issue - cursor")
-    if has_group:
-        if attribution:
-            w("        g_at = issue")
-        w("        if g_first < 0 or issue > g_first + g_count * group_cost"
-          " + gap:")
-        w("            g_first = issue; g_count = 1")
-        w("        else:")
-        w("            earliest = g_first + g_count * group_cost")
-        w("            if earliest > issue: issue = earliest")
-        w("            g_count += 1")
-        if attribution:
-            w("        aport += issue - g_at")
-    w("        if len(inflight) >= window:")
-    w("            head = pop() - depth")
-    if attribution:
-        w("            op_r, op_a, op_l = parts_pop()")
-        w("            if head > issue:")
-        w("                bp = head - issue")
-        w("                stall += bp; issue = head")
-        w("                x = op_r if op_r < bp else bp")
-        w("                rest = bp - x")
-        w("                y = op_a if op_a < rest else rest")
-        w("                bp_row += x; bp_arb += y; bp_lat += rest - y")
-    else:
-        w("            if head > issue:")
-        w("                stall += head - issue; issue = head")
-    w("        extra = 0")
-    if attribution:
-        w("        e_pen = 0; e_arb = 0")
-    for i, (start, off, _nbytes, is_write, _name) in enumerate(mem):
-        hist = "hist_w" if is_write else "hist_r"
-        last = "last_w" if is_write else "last_r"
-        w(f"        # memop {i}: PortSet.request + ExternalMemory"
-          ".access_time")
-        w(f"        at = issue + {start}" if start else "        at = issue")
-        w(f"        if len({hist}) >= limit:")
-        w(f"            head = {hist}[0]")
-        w("            if head > at: at = head")
-        w(f"            del {hist}[:1]")
-        w(f"        addr = b{i} + a{i}[k] * e{i}")
-        w("        channel = (addr // interleave) % channels")
-        w("        row = addr // row_span")
-        w("        bi = channel * banks_per_channel"
-          " + (addr // row_bytes) % banks_per_channel")
-        w("        bank_ready = brdy[bi]")
-        w("        open_row = brow[bi]")
-        w("        begin = at if at > bank_ready else bank_ready")
-        w("        if open_row != row:")
-        w("            begin += rmp; rm += 1; penalty = rmp")
-        w("        else:")
-        w("            penalty = 0")
-        w("        busy = bus_busy[channel]")
-        w("        if busy > begin: begin = busy")
-        if attribution and not is_write:
-            w("        arbv = begin - at - penalty")
-            w("        arb += arbv")
-        else:
-            w("        arb += begin - at - penalty")
-        w(f"        done = begin + t{i}")
-        w("        bus_busy[channel] = done")
-        w("        brow[bi] = row")
-        w("        brdy[bi] = done")
-        w("        completion = done + base_latency")
-        w("        # in-order responses per port")
-        w(f"        if completion < {last}: completion = {last}")
-        w(f"        else: {last} = completion")
-        w(f"        {hist}.append(completion)")
-        if not is_write:
-            w(f"        late = completion - issue - {off}")
-            if attribution:
-                w("        if late > extra:")
-                w("            extra = late; e_pen = penalty; e_arb = arbv")
-            else:
-                w("        if late > extra: extra = late")
-    if attribution:
-        w("        if extra > 0:")
-        w("            i_r = e_pen if e_pen < extra else extra")
-        w("            rest = extra - i_r")
-        w("            i_a = e_arb if e_arb < rest else rest")
-        w("            i_l = rest - i_a")
-        w("        else:")
-        w("            i_r = 0; i_a = 0; i_l = 0")
-        w("        parts_push((i_r, i_a, i_l))")
-    w("        retire = issue + depth + extra")
-    w("        push(retire)")
-    w("        cursor = issue + rec_ii")
-    w("        stall += extra")
-    if attribution:
-        w("        if retire > retire_max:")
-        w("            retire_max = retire")
-        w("            rm_r = i_r; rm_a = i_a; rm_l = i_l")
-    else:
-        w("        if retire > retire_max: retire_max = retire")
-    w("    state.first = s_first; state.count = s_count")
-    if has_group:
-        w("    group.first = g_first; group.count = g_count")
-    if attribution:
-        w("    return (cursor, retire_max, stall, last_r, last_w, rm, arb,")
-        w("            aii, aport, bp_row, bp_arb, bp_lat, rm_r, rm_a, rm_l)")
-    else:
-        w("    return cursor, retire_max, stall, last_r, last_w, rm, arb")
-    source = "\n".join(lines)
-    namespace = {}
-    code = compile(source, f"<tloop:{uid}>", "exec")
-    exec(code, namespace)
-    fn = namespace["_tloop"]
-    fn.__source__ = source
-    return fn
-
-
-# ----------------------------------------------------------------------
-# cross-entry batched loop nests
-# ----------------------------------------------------------------------
-#
-# A sequential loop (or a nest of sequential loops) that wraps a
-# pipelined leaf re-enters the fast path above once per *entry*.  When
-# the pipelined loop's trip count and access pattern are invariant
-# across entries, the whole nest can instead run as one mega-batch:
-# the functional work of all ``entries x trips`` iterations is a single
-# nest-mode :func:`compile_segment_vectorized` call (entry boundaries
-# become reset points of the accumulator scan), and the timing replay
-# is one codegen'd generator that walks the nest's control skeleton —
-# loop bubbles, leading segments, the per-entry pipelined recurrence
-# over precomputed bank/row lists, trailing segments and critical
-# sections — with the exact yield sequence and mutation order of the
-# reference executor.  Profiling deposits are made eagerly at the
-# reference deposit points — any deferral would reorder same-bin float
-# accumulation against concurrently-running loops (double buffering)
-# and drift the binned series by an ulp.
 
 #: value-producing opcodes whose result is entry-invariant when all
 #: operands are (used to prove loop bounds and kernel inputs constant
@@ -545,7 +108,10 @@ class NestLevel:
 
     iv_id: int
     bounds: tuple           # (lower, upper, step) value ids
-    #: (compiled segment, depth, flops, intops) per leading segment
+    #: attribution region of the loop (its control-bubble deposits)
+    region: int
+    #: (compiled segment, depth, flops, intops, region) per leading
+    #: segment
     leading: tuple
     #: indices into NestPlan.trails
     trailing: tuple
@@ -553,7 +119,10 @@ class NestLevel:
 
 @dataclass
 class NestPlan:
-    """Everything needed to run a sequential x pipelined nest batched."""
+    """Everything needed to run a pipelined loop, and its nest, fast.
+
+    ``levels`` is empty for a depth-0 plan (a lone pipelined loop).
+    """
 
     levels: tuple
     pipe: LoopNode
@@ -561,14 +130,15 @@ class NestPlan:
     p_iv: int
     pseg: Segment
     vseg: VectorizedSegment
-    #: as LoopPlan.mem, for the pipelined segment
+    #: per external access of the pipelined segment, in segment order:
+    #: (stage offset, stage offset + scheduled latency, bytes moved,
+    #: is_write, buffer name)
     mem: list
-    rbytes_iter: int
-    wbytes_iter: int
     group_id: object
     group_cost: int
     trails: tuple
-    #: (vid, is_entry_input) per vseg input, in call order
+    #: (vid, is_entry_input) per vseg input, in call order (nests only:
+    #: a depth-0 kernel reads its inputs live at each chunk)
     input_plan: tuple
     entry_vars: tuple
     entry_var_float: tuple
@@ -579,7 +149,6 @@ class NestPlan:
     #: trip-specialized compiled drivers, keyed by trip count (0 = the
     #: general chunked body); filled lazily by :func:`_nest_driver_for`
     drivers: dict = field(default_factory=dict)
-    driver_srcs: dict = field(default_factory=dict)
 
 
 def _seq_items(body):
@@ -639,6 +208,52 @@ def _memop_bytes(memop):
     return _lanes(op.operands[2].type) * _elem_bytes(base.type.elem)
 
 
+def _pipe_segment(pipe: LoopNode):
+    """The single-segment body of a pipelined loop (None if not one)."""
+
+    if pipe.uid < 0 or len(pipe.body.items) != 1:
+        return None
+    pseg = pipe.body.items[0]
+    if not isinstance(pseg, Segment) or pseg.uid < 0:
+        return None
+    return pseg
+
+
+def _finish_plan(levels, pipe: LoopNode, pseg: Segment, vseg, trails,
+                 input_plan, entry_vars, entry_var_float, schedule, config,
+                 uid: int) -> NestPlan:
+    mem = [(memop.start, memop.start + memop.sched_latency,
+            _memop_bytes(memop), memop.is_write, memop.op.operands[0].name)
+           for memop in pseg.mem_ops]
+    group_id = schedule.local_groups.get(pseg.uid)
+    group_cost = max(1, schedule.local_costs.get(pseg.uid, 1)) \
+        if group_id is not None else 0
+    return NestPlan(
+        levels=tuple(levels), pipe=pipe,
+        pipe_bounds=tuple(operand.id for operand in pipe.op.operands[:3]),
+        p_iv=pipe.op.defined[0].id, pseg=pseg, vseg=vseg, mem=mem,
+        group_id=group_id, group_cost=group_cost, trails=tuple(trails),
+        input_plan=input_plan, entry_vars=entry_vars,
+        entry_var_float=entry_var_float, chunk=max(1, config.loop_chunk),
+        window=max(1, config.pipeline_window), dram=config.dram, uid=uid)
+
+
+def build_loop_plan(item: LoopNode, schedule, external_uses: set[int],
+                    config):
+    """A lone pipelined loop as a depth-0 plan (None if unsupported)."""
+
+    pseg = _pipe_segment(item)
+    if pseg is None:
+        return None
+    try:
+        vseg = compile_segment_vectorized(pseg, external_uses,
+                                          item.op.defined[0].id)
+    except VectorizeError:
+        return None
+    return _finish_plan((), item, pseg, vseg, (), (), (), (), schedule,
+                        config, item.uid)
+
+
 def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
                     config, get_compiled):
     """Analyze a sequential loop as a flattenable nest (None if not).
@@ -659,7 +274,12 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
       trailing segments write;
     * no memory base is written on one side of an entry boundary and
       read or re-written on the other (pipelined stores vs trailing
-      accesses and vice versa).
+      accesses and vice versa);
+    * the pipelined segment shares no external buffer with any other
+      segment of the kernel, except buffers that both only load: the
+      mega-batch runs every entry's pipelined work when the nest is
+      dispatched, not chunk by chunk, so it must neither see nor hide
+      other threads' stores.
     """
 
     levels_raw = []
@@ -704,10 +324,8 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
             pipe = inner
             break
         node = inner
-    if pipe.uid < 0 or len(pipe.body.items) != 1:
-        return None
-    pseg = pipe.body.items[0]
-    if not isinstance(pseg, Segment) or pseg.uid < 0:
+    pseg = _pipe_segment(pipe)
+    if pseg is None:
         return None
 
     k = len(levels_raw)
@@ -849,6 +467,18 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
         l_loads |= loads
     if l_loads & (p_stores | t_stores):
         return None
+    # other threads run other segments (and this nest) concurrently:
+    # external bases only one side loads are the only safe overlap
+    o_loads: set = set()
+    o_stores: set = set()
+    for seg in schedule.body.walk_segments():
+        if seg is not pseg:
+            loads, stores = _seg_bases(seg)
+            o_loads |= loads
+            o_stores |= stores
+    ext = {key for key in o_loads | o_stores if key[0] == "ext"}
+    if p_loads & o_stores & ext or p_stores & ext:
+        return None
 
     # -- compile the pipelined segment in nest mode --------------------
     entry_inputs = iv_set | {vid for vid in lead_def if not inv(vid)}
@@ -871,17 +501,6 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
         else:  # pragma: no cover - classified carried, so a read exists
             return None
 
-    mem: list[tuple[int, int, int, bool, str]] = []
-    rbytes = wbytes = 0
-    for memop in pseg.mem_ops:
-        nbytes = _memop_bytes(memop)
-        mem.append((memop.start, memop.start + memop.sched_latency, nbytes,
-                    memop.is_write, memop.op.operands[0].name))
-        if memop.is_write:
-            wbytes += nbytes
-        else:
-            rbytes += nbytes
-
     # -- leading / trailing compilation --------------------------------
     trails: list[_Trail] = []
     levels: list[NestLevel] = []
@@ -893,7 +512,8 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
             if any(vid in p_def or vid in trail_def or vid in deeper
                    for vid in compiled.inputs):
                 return None  # pre-pass would read a stale value
-            lead_list.append((compiled, seg.depth, seg.flops, seg.intops))
+            lead_list.append((compiled, seg.depth, seg.flops, seg.intops,
+                              segment_region(seg.uid)))
         t_idx = []
         for seg, lock in tunits:
             compiled = get_compiled(seg)
@@ -931,21 +551,11 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
         levels.append(NestLevel(
             iv_id=lnode.op.defined[0].id,
             bounds=tuple(operand.id for operand in lnode.op.operands[:3]),
-            leading=tuple(lead_list), trailing=tuple(t_idx)))
-
-    group_id = schedule.local_groups.get(pseg.uid)
-    group_cost = max(1, schedule.local_costs.get(pseg.uid, 1)) \
-        if group_id is not None else 0
-    chunk = max(1, config.loop_chunk)
-    window = max(1, config.pipeline_window)
-    return NestPlan(
-        levels=tuple(levels), pipe=pipe,
-        pipe_bounds=tuple(operand.id for operand in pipe.op.operands[:3]),
-        p_iv=p_iv, pseg=pseg, vseg=vseg, mem=mem, rbytes_iter=rbytes,
-        wbytes_iter=wbytes, group_id=group_id, group_cost=group_cost,
-        trails=tuple(trails), input_plan=input_plan, entry_vars=entry_vars,
-        entry_var_float=tuple(ev_float), chunk=chunk, window=window,
-        dram=config.dram, uid=item.uid)
+            region=loop_region(lnode.uid), leading=tuple(lead_list),
+            trailing=tuple(t_idx)))
+    return _finish_plan(levels, pipe, pseg, vseg, trails, input_plan,
+                        entry_vars, tuple(ev_float), schedule, config,
+                        item.uid)
 
 
 def _amt(value: int, factor: str = "") -> str:
@@ -956,13 +566,13 @@ def _amt(value: int, factor: str = "") -> str:
     return f"{value} * {factor}" if factor else str(value)
 
 
-def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
-                         group_cost, chunk, window, dram, uid, limit,
-                         grant, trips, period, enabled, record_on, sbits):
-    """exec-compile the whole-nest timing generator.
+def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
+                         period: int, enabled, record_on: bool, sbits: int,
+                         attr: bool):
+    """exec-compile the timing generator of one plan.
 
     The generated function replays the reference executor's exact
-    control skeleton for one nest dispatch — per-trip loop bubbles,
+    control skeleton for one dispatch — per-trip loop bubbles,
     leading-segment deposits, the per-entry pipelined recurrence over
     precomputed bank/row lists, conditional advance/tail yields, and
     trailing segments with the full critical-section protocol — with
@@ -975,9 +585,15 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
 
     Three pipelined-entry bodies are emitted depending on ``trips``
     (the per-entry trip count, or ``None`` when it must stay a runtime
-    value): a fully unrolled straight-line body for small trip counts,
-    a single-chunk loop when the entry fits one chunk, and the general
-    chunked loop otherwise.  All per-request protocol state that is
+    value): a fully unrolled straight-line body for small trip counts
+    (attribution off only), a single-chunk loop when the entry fits one
+    chunk, and the general chunked loop otherwise.  A depth-0 plan
+    always takes the chunked loop and calls its value kernel at each
+    chunk's start; a chunk the kernel refuses runs through the
+    executor's scalar ``scalar_chunk``, with the hoisted port state
+    written back around it.  With ``attr`` the driver also makes every
+    ``acct.deposit`` call of the reference, with the same arguments in
+    the same order.  All per-request protocol state that is
     private to this thread — the Avalon port in-flight windows and
     in-order completion clamps, and the semaphore acquisition counters
     — is hoisted into locals for the whole nest and written back once;
@@ -985,6 +601,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     no foreign Python frame is entered between yields.
     """
 
+    levels, trails, pipe, pseg, mem = (nplan.levels, nplan.trails,
+                                       nplan.pipe, nplan.pseg, nplan.mem)
+    has_group = nplan.group_id is not None
+    group_cost, chunk, window, dram = (nplan.group_cost, nplan.chunk,
+                                       nplan.window, nplan.dram)
     k = len(levels)
     ii, rec_ii, depth = pipe.ii, pipe.rec_ii, pipe.depth
     p_reads = any(not m[3] for m in mem)
@@ -1003,9 +624,14 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         if tr.lock is not None and tr.lock not in locks:
             locks.append(tr.lock)
     lock_ix = {lock: j for j, lock in enumerate(locks)}
-    unroll = (trips is not None and trips <= 16 and trips <= chunk
-              and trips * max(1, len(mem)) <= 48)
+    unroll = (not attr and trips is not None and trips <= 16
+              and trips <= chunk and trips * max(1, len(mem)) <= 48)
     single = not unroll and trips is not None and trips <= chunk
+    region = loop_region(pipe.uid)
+    drain = max(0, depth - rec_ii)
+    # pipelined trips run through the fast body (memory request counts);
+    # a depth-0 plan's chunk lists are indexed from 0, so it keeps a total
+    ptrips = "p" if k else "_pt"
     rmp = dram.row_miss_penalty
     base = dram.base_latency
     row_span = dram.row_bytes * dram.banks_per_channel * dram.channels
@@ -1017,16 +643,34 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     en_tags = {tag for tag, kind in kind_of.items() if kind in enabled}
     used_tags: set = set()
 
-    lines = ["def _ndrive(rt, tid, ctx, state, group, T, ns, "
-             "limit, brow, brdy, bus_busy, hist_r, hist_w, fins, tins, "
-             "bkrw, tbufs):"]
+    args = "ns, fins, tins, bkrw, tbufs" if k else "iv, step, lrt"
+    lines = [f"def _ndrive(rt, tid, ctx, state, group, acct, T, {args}):"]
 
     def w(indent: int, text: str) -> None:
         lines.append("    " * indent + text)
 
+    def emit_ports_load(ind: int) -> None:
+        # this thread's Avalon port windows and in-order clamps, hoisted
+        # into locals
+        for h, used in (("r", used_r), ("w", used_w)):
+            if used:
+                w(ind, f"last_{h} = lc.get(_K{h.upper()}, 0)")
+                w(ind, f"_h{h} = _deque(hist_{h})")
+                w(ind, f"_h{h}a = _h{h}.append")
+                w(ind, f"_h{h}p = _h{h}.popleft")
+                w(ind, f"hl{h} = len(_h{h})")
+
+    def emit_ports_store(ind: int) -> None:
+        for h, used in (("r", used_r), ("w", used_w)):
+            if used:
+                w(ind, f"lc[_K{h.upper()}] = last_{h}")
+                w(ind, f"hist_{h}[:] = _h{h}")
+
     w(1, "engine = rt.engine")
     w(1, "rec = rt.recorder")
     w(1, "_am = rec.add_many")
+    if attr:
+        w(1, "_ad = acct.deposit")
     for li in range(k):
         w(1, f"n{li} = ns[{li}]")
     if not unroll:
@@ -1034,27 +678,35 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(1, "ipop = inflight.popleft")
         w(1, "ipush = inflight.append")
         w(1, "iclear = inflight.clear")
+    if attr:
+        # (row, arb, latency) split of each in-flight iteration's late
+        # response, mirroring ``inflight`` one for one
+        w(1, "parts = _deque()")
+        w(1, "ppop = parts.popleft")
+        w(1, "ppush = parts.append")
+        w(1, "pclear = parts.clear")
+    elif not k:
+        w(1, "parts = None")
     w(1, "gap = state._GAP")
     if any_mem:
         w(1, "lc = rt.ports._last_completion")
+        w(1, "memory = rt.memory")
+        w(1, "brow = memory._bank_row")
+        w(1, "brdy = memory._bank_ready")
+        w(1, "bus_busy = memory._bus_busy")
+        w(1, "hist_r, hist_w = rt.port_hists[tid]")
     if used_r:
         w(1, "_KR = (tid, False)")
-        w(1, "last_r = lc.get(_KR, 0)")
-        w(1, "_hr = _deque(hist_r)")
-        w(1, "_hra = _hr.append")
-        w(1, "_hrp = _hr.popleft")
-        w(1, "hlr = len(_hr)")
     if used_w:
         w(1, "_KW = (tid, True)")
-        w(1, "last_w = lc.get(_KW, 0)")
-        w(1, "_hw = _deque(hist_w)")
-        w(1, "_hwa = _hw.append")
-        w(1, "_hwp = _hw.popleft")
-        w(1, "hlw = len(_hw)")
-    for i in range(len(mem)):
-        w(1, f"bk{i} = bkrw[{3 * i}]")
-        w(1, f"rw{i} = bkrw[{3 * i + 1}]")
-        w(1, f"cn{i} = bkrw[{3 * i + 2}]")
+    emit_ports_load(1)
+    if k:
+        for i in range(len(mem)):
+            w(1, f"bk{i} = bkrw[{2 * i}]")
+            w(1, f"rw{i} = bkrw[{2 * i + 1}]")
+    else:
+        w(1, "_pt = 0")
+        w(1, "_lp = _Z3")
     if trails:
         w(1, "_values = ctx.values")
         w(1, "_vars = ctx.vars")
@@ -1092,7 +744,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     hoist_at = len(lines)
     w(1, "now = engine.now")
     w(1, "p = 0")
-    w(1, "_e = 0")
+    if k:
+        w(1, "_e = 0")
     if any_mem:
         w(1, "rm = 0")
         w(1, "arb = 0")
@@ -1106,7 +759,10 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
 
     def emit_booking(ind: int, is_write: bool, transfer: int) -> None:
         # PortSet.request + ExternalMemory.access_time, inlined over the
-        # hoisted deque/clamp locals; expects `at`, `bi`, `row`, `ch`
+        # hoisted deque/clamp locals; expects `at`, `bi`, `row`, `ch`.
+        # With attribution a read also leaves its row-miss penalty and
+        # arbitration wait in `_pn` / `_av`.
+        track = attr and not is_write
         h = "w" if is_write else "r"
         last = "last_w" if is_write else "last_r"
         w(ind, f"if hl{h} >= {limit}:")
@@ -1121,10 +777,17 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind + 1, f"begin += {rmp}")
         w(ind + 1, "rm += 1")
         w(ind + 1, "if busy > begin: begin = busy")
-        w(ind + 1, f"arb += begin - at - {rmp}")
+        if track:
+            w(ind + 1, f"_pn = {rmp}; _av = begin - at - {rmp}")
+        else:
+            w(ind + 1, f"arb += begin - at - {rmp}")
         w(ind, "else:")
         w(ind + 1, "if busy > begin: begin = busy")
-        w(ind + 1, "arb += begin - at")
+        if track:
+            w(ind + 1, "_pn = 0; _av = begin - at")
+            w(ind, "arb += _av")
+        else:
+            w(ind + 1, "arb += begin - at")
         w(ind, f"done = begin + {transfer}")
         w(ind, "bus_busy[ch] = done")
         w(ind, "brow[bi] = row")
@@ -1139,11 +802,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, f"at = issue + {start}" if start else "at = issue")
         w(ind, f"bi = bk{i}[{pidx}]")
         w(ind, f"row = rw{i}[{pidx}]")
-        w(ind, f"ch = cn{i}[{pidx}]")
+        w(ind, "ch = _CH[bi]")
         emit_booking(ind, is_write, transfer_of(nbytes))
         if not is_write:
             w(ind, f"late = completion - issue - {off}")
-            w(ind, "if late > extra: extra = late")
+            emit_bind(ind)
 
     def emit_t_memop(ind: int, u: int, q: int, start: int, slat: int,
                      nbytes: int, is_write: bool) -> None:
@@ -1156,7 +819,24 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         emit_booking(ind, is_write, transfer_of(nbytes))
         if not is_write:
             w(ind, f"late = completion - now - {start + slat}")
+            emit_bind(ind)
+
+    def emit_bind(ind: int) -> None:
+        # the latest response binds `extra` (first maximum); attribution
+        # keeps that request's penalty and arbitration wait
+        if attr:
+            w(ind, "if late > extra:")
+            w(ind + 1, "extra = late; e_pen = _pn; e_arb = _av")
+        else:
             w(ind, "if late > extra: extra = late")
+
+    def emit_peel(ind: int, amount: str, pen: str, arbv: str,
+                  pre: str) -> None:
+        # Runtime._peel: row-miss share first, then arbitration, the
+        # rest is latency (`{pre}x - {pre}a`)
+        w(ind, f"{pre}r = {pen} if {pen} < {amount} else {amount}")
+        w(ind, f"{pre}x = {amount} - {pre}r")
+        w(ind, f"{pre}a = {arbv} if {arbv} < {pre}x else {pre}x")
 
     def emit_bucket_load(ind: int) -> None:
         w(ind, "s_first = state.first")
@@ -1174,12 +854,18 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, "else:")
         w(ind + 1, "issue = cursor if cursor > e_next else e_next")
         w(ind + 1, f"e_next += {ii}")
+        if attr:
+            w(ind, "c_ii += issue - cursor")
         if has_group:
+            if attr:
+                w(ind, "g_at = issue")
             w(ind, "if g_first < 0 or issue > ge_next + gap:")
             w(ind + 1, f"g_first = issue; ge_next = issue + {group_cost}")
             w(ind, "else:")
             w(ind + 1, "if ge_next > issue: issue = ge_next")
             w(ind + 1, f"ge_next += {group_cost}")
+            if attr:
+                w(ind, "c_port += issue - g_at")
 
     def emit_bucket_commit(ind: int) -> None:
         w(ind, "state.first = s_first")
@@ -1253,12 +939,29 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         emit_bucket(b)
         w(b, f"if len(inflight) >= {window}:")
         w(b + 1, f"head = ipop() - {depth}")
-        w(b + 1, "if head > issue:")
-        w(b + 2, "stall += head - issue; issue = head")
+        if attr:
+            # backpressure peels into the popped iteration's DRAM parts
+            w(b + 1, "o_r, o_a, _ol = ppop()")
+            w(b + 1, "if head > issue:")
+            w(b + 2, "bp = head - issue; stall += bp; issue = head")
+            emit_peel(b + 2, "bp", "o_r", "o_a", "_b")
+            w(b + 2, "c_row += _br; c_arb += _ba; c_lat += _bx - _ba")
+        else:
+            w(b + 1, "if head > issue:")
+            w(b + 2, "stall += head - issue; issue = head")
         if p_reads:
             w(b, "extra = 0")
         for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
             emit_p_memop(b, i, start, off, nbytes, is_write, "p")
+        if attr and p_reads:
+            w(b, "if extra > 0:")
+            emit_peel(b + 1, "extra", "e_pen", "e_arb", "_p")
+            w(b + 1, "ppush((_pr, _pa, _px - _pa))")
+            w(b, "else:")
+            w(b + 1, "_pr = _pa = 0")
+            w(b + 1, "ppush(_Z3)")
+        elif attr:
+            w(b, "ppush(_Z3)")
         if p_reads:
             w(b, f"retire = issue + {depth} + extra")
             w(b, "stall += extra")
@@ -1266,18 +969,57 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(b, f"retire = issue + {depth}")
         w(b, "ipush(retire)")
         w(b, f"cursor = issue + {rec_ii}")
-        w(b, "if retire > last_retire: last_retire = retire")
+        if attr and p_reads:
+            w(b, "if retire > last_retire:")
+            w(b + 1, "last_retire = retire; lp_r = _pr; lp_a = _pa")
+        else:
+            w(b, "if retire > last_retire: last_retire = retire")
         w(b, "p += 1")
 
-    def emit_pipe_end(ind: int) -> None:
+    def emit_chunk_start(ind: int) -> None:
+        emit_bucket_load(ind)
+        w(ind, "stall = 0")
+        if attr:
+            w(ind, "c_ii = c_port = c_row = c_arb = c_lat = 0")
+
+    def emit_chunk_attr(ind: int, useful: str) -> None:
+        # the chunk's advance decomposes exactly: rec_ii per trip is
+        # useful issue spacing, the rest is what delayed each issue
+        if attr:
+            w(ind, f"_ad(cs, last_retire, {region}, ({useful}, c_ii, "
+                   "c_port, c_lat, c_arb, c_row, 0, 0, 0))")
+
+    def emit_entry_start(ind: int) -> None:
+        w(ind, "iclear()")
+        if attr:
+            w(ind, "pclear()")
+            w(ind, "lp_r = lp_a = 0")
+        w(ind, "cursor = now")
+        w(ind, "last_retire = cursor")
+
+    def emit_advance(ind: int) -> None:
         w(ind, "if stall:")
         w(ind + 1, "stall_acc += stall")
         w(ind, "advance = cursor - now")
         w(ind, "if advance > 0:")
         w(ind + 1, "yield advance")
         w(ind + 1, "now = cursor")
+
+    def emit_tail(ind: int) -> None:
         w(ind, "tail = last_retire - now")
         w(ind, "if tail > 0:")
+        if attr:
+            # pipeline drain after the last issue; what exceeds it is
+            # the binding iteration's late response, peeled into its
+            # stored DRAM parts
+            if drain:
+                w(ind + 1, f"_dr = {drain} if {drain} < tail else tail")
+            else:
+                w(ind + 1, "_dr = 0")
+            w(ind + 1, "_x = tail - _dr")
+            emit_peel(ind + 1, "_x", "lp_r", "lp_a", "_t")
+            w(ind + 1, f"_ad(now, last_retire, {region}, (0, 0, 0, "
+                       "_tx - _ta, _ta, _tr, 0, _dr, 0))")
         w(ind + 1, "yield tail")
         w(ind + 1, "now = last_retire")
 
@@ -1315,15 +1057,13 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                       ("R", prb * trips), ("W", pwb * trips)],
                      [("S", "stall", True)],
                      "(_PP0, _PP1, _PP2, _PP3, (_STALLS, stall))")
-        emit_pipe_end(ind)
+        emit_advance(ind)
+        emit_tail(ind)
 
     def emit_pipe_single(ind: int) -> None:
-        w(ind, "iclear()")
+        emit_entry_start(ind)
         w(ind, "cs = now")
-        w(ind, "cursor = now")
-        w(ind, "last_retire = cursor")
-        emit_bucket_load(ind)
-        w(ind, "stall = 0")
+        emit_chunk_start(ind)
         w(ind, f"_pe = p + {trips}")
         w(ind, "while p < _pe:")
         emit_trip_loop(ind + 1)
@@ -1333,43 +1073,70 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                       ("R", prb * trips), ("W", pwb * trips)],
                      [("S", "stall", True)],
                      "(_PP0, _PP1, _PP2, _PP3, (_STALLS, stall))")
-        emit_pipe_end(ind)
+        emit_chunk_attr(ind, str(rec_ii * trips))
+        emit_advance(ind)
+        emit_tail(ind)
+
+    def emit_scalar_chunk(ind: int) -> None:
+        # depth-0 chunk the value kernel refused: the executor's scalar
+        # interpreter runs it over the live port state
+        emit_ports_store(ind)
+        if attr:
+            w(ind, "_lp = (lp_r, lp_a, 0)")
+        w(ind, "(cursor, last_retire, _lp, _rb, _wb, stall, c_ii, c_port, "
+               "c_row, c_arb, c_lat) = rt.scalar_chunk(lrt, tid, ctx, "
+               "inflight, parts, iv, step, batch, cursor, last_retire, _lp)")
+        if attr:
+            w(ind, "lp_r = _lp[0]; lp_a = _lp[1]")
+        emit_ports_load(ind)
+        w(ind, f"_am(cs, last_retire, tid, ((_FLOPS, {pseg.flops} * batch), "
+               f"(_INTOPS, {pseg.intops} * batch), (_MRB, _rb), "
+               "(_MWB, _wb), (_STALLS, stall)))")
+        emit_chunk_attr(ind, f"{rec_ii} * batch")
 
     def emit_pipe_big(ind: int) -> None:
-        w(ind, "iclear()")
-        w(ind, "cursor = now")
-        w(ind, "last_retire = cursor")
+        emit_entry_start(ind)
         w(ind, "remaining = T")
         w(ind, "while remaining > 0:")
-        c = ind + 1
+        c = f = ind + 1
         w(c, f"batch = {chunk} if remaining > {chunk} else remaining")
         w(c, "cs = cursor")
-        emit_bucket_load(c)
-        w(c, "stall = 0")
-        w(c, "_pe = p + batch")
-        w(c, "while p < _pe:")
-        emit_trip_loop(c + 1)
-        emit_bucket_commit(c)
-        w(c, "remaining -= batch")
+        if not k:
+            w(c, "_bk = _kernel(rt, _P, ctx, iv, step, batch)")
+            w(c, "if _bk is None:")
+            emit_scalar_chunk(c + 1)
+            w(c, "else:")
+            f = c + 1
+            if mem:
+                w(f, ", ".join(f"bk{i}, rw{i}"
+                               for i in range(len(mem))) + " = _bk")
+            w(f, "p = 0")
+        emit_chunk_start(f)
+        w(f, "_pe = p + batch")
+        w(f, "while p < _pe:")
+        emit_trip_loop(f + 1)
+        emit_bucket_commit(f)
         big_rt = [(t, f"{v} * batch", False)
                   for t, v in (("F", pseg.flops), ("I", pseg.intops),
                                ("R", prb), ("W", pwb)) if v]
-        emit_deposit(c, "cs", "last_retire - 1", "last_retire", [],
+        emit_deposit(f, "cs", "last_retire - 1", "last_retire", [],
                      big_rt + [("S", "stall", True)],
                      f"((_FLOPS, {_amt(pseg.flops, 'batch')}), "
                      f"(_INTOPS, {_amt(pseg.intops, 'batch')}), "
                      f"(_MRB, {_amt(prb, 'batch')}), "
                      f"(_MWB, {_amt(pwb, 'batch')}), (_STALLS, stall))")
-        w(c, "if stall:")
-        w(c + 1, "stall_acc += stall")
-        w(c, "advance = cursor - now")
-        w(c, "if advance > 0:")
-        w(c + 1, "yield advance")
-        w(c + 1, "now = cursor")
-        w(ind, "tail = last_retire - now")
-        w(ind, "if tail > 0:")
-        w(ind + 1, "yield tail")
-        w(ind + 1, "now = last_retire")
+        emit_chunk_attr(f, f"{rec_ii} * batch")
+        if not k:
+            w(f, "_pt += batch")
+            w(c, "iv += step * batch")
+        w(c, "remaining -= batch")
+        emit_advance(c)
+        emit_tail(ind)
+
+    def emit_seg_attr(ind: int, seg, end: str, lat_arb_row: str) -> None:
+        if attr:
+            w(ind, f"_ad(now, {end}, {segment_region(seg.uid)}, "
+                   f"({seg.depth}, 0, 0, {lat_arb_row}, 0, 0, 0))")
 
     def emit_trail(u: int, tr, ind: int, idx: str, fin_idx: str) -> None:
         seg = tr.segment
@@ -1378,6 +1145,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             # same shared holder/queue mutations at the same times
             j = lock_ix[tr.lock]
             emit_set_state(ind, "_SPIN")
+            if attr:
+                w(ind, "_as = now")
             w(ind, f"_an{j} += 1")
             w(ind, f"yield {grant}")
             w(ind, f"now += {grant}")
@@ -1389,6 +1158,10 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(ind + 1, f"_lqa{j}((tid, _ev))")
             w(ind + 1, "yield _ev")
             w(ind + 1, "now = engine.now")
+            if attr:
+                w(ind, "if now > _as:")
+                w(ind + 1, f"_ad(_as, now, {REGION_SYNC}, "
+                           "(0, 0, 0, 0, 0, 0, now - _as, 0, 0))")
             emit_set_state(ind, "_CRIT")
         if tr.snap_ids or tr.snap_var_ids:
             w(ind, f"_t = tin{u}[{idx}]")
@@ -1431,6 +1204,13 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                     f"((_FLOPS, {_amt(seg.flops)}), (_INTOPS, "
                     f"{_amt(seg.intops)}), (_MRB, {_amt(trb)}), "
                     f"(_MWB, {_amt(twb)}), (_STALLS, extra))")
+                if attr:
+                    w(ind, "if extra > 0:")
+                    emit_peel(ind + 1, "extra", "e_pen", "e_arb", "_s")
+                    w(ind, "else:")
+                    w(ind + 1, "_sr = _sx = _sa = 0")
+                    emit_seg_attr(ind, seg, "now + duration",
+                                  "_sx - _sa, _sa, _sr")
                 w(ind, "if extra:")
                 w(ind + 1, "stall_acc += extra")
                 w(ind, "yield duration")
@@ -1443,6 +1223,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                         f"now + {seg.depth}",
                         [("F", seg.flops), ("I", seg.intops), ("W", twb)],
                         [], f"_PTM{u}")
+                emit_seg_attr(ind, seg, f"now + {seg.depth}", "0, 0, 0")
                 w(ind, f"yield {seg.depth}")
                 w(ind, f"now += {seg.depth}")
         else:
@@ -1457,6 +1238,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                              f"now + {seg.depth}",
                              [("F", seg.flops), ("I", seg.intops)],
                              [], f"_PT{u}")
+            emit_seg_attr(ind, seg, f"now + {seg.depth}", "0, 0, 0")
             w(ind, f"yield {seg.depth}")
             w(ind, f"now += {seg.depth}")
         if tr.lock is not None:
@@ -1473,14 +1255,19 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
 
     def emit_level(li: int, ind: int) -> None:
         lvl = levels[li]
+        if attr:
+            w(ind, f"_ls{li} = now")
         w(ind, f"for _x{li} in range(n{li}):")
         b = ind + 1
         w(b, "yield 1")  # loop-control bubble between iterations
         w(b, "now += 1")
-        for si, (_compiled, d, lf, lio) in enumerate(lvl.leading):
+        for si, (_compiled, d, lf, lio, lr) in enumerate(lvl.leading):
             if d > 0:
                 emit_deposit(b, "now", f"now + {d - 1}", f"now + {d}",
                              [("F", lf), ("I", lio)], [], f"_PL{li}_{si}")
+            if attr:
+                w(b, f"_ad(now, now + {d}, {lr}, ({d}, 0, 0, 0, 0, 0, 0, "
+                     "0, 0))")
             w(b, f"yield {d}")
             w(b, f"now += {d}")
         if li == k - 1:
@@ -1500,26 +1287,29 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(b, "_e += 1")
         elif lvl.trailing:
             w(b, f"_q{li} += 1")
+        if attr:
+            # the level's per-trip control bubbles, as one deposit over
+            # its span
+            w(ind, f"_ad(_ls{li}, now, {lvl.region}, (0, 0, 0, 0, 0, 0, 0, "
+                   f"0, n{li}))")
 
-    emit_level(0, 1)
+    if k:
+        emit_level(0, 1)
+    else:
+        emit_pipe_big(1)
     w(1, "if stall_acc:")
     w(2, "rt.stalls[tid] += stall_acc")
-    if used_r:
-        w(1, "lc[_KR] = last_r")
-        w(1, "hist_r[:] = _hr")
-    if used_w:
-        w(1, "lc[_KW] = last_w")
-        w(1, "hist_w[:] = _hw")
+    emit_ports_store(1)
     if any_mem:
         req_terms: list = []
         rb_terms: list = []
         wb_terms: list = []
         if mem:
-            req_terms.append(f"{len(mem)} * p")
+            req_terms.append(f"{len(mem)} * {ptrips}")
             if prb:
-                rb_terms.append(f"{prb} * p")
+                rb_terms.append(f"{prb} * {ptrips}")
             if pwb:
-                wb_terms.append(f"{pwb} * p")
+                wb_terms.append(f"{pwb} * {ptrips}")
         for u, tr in enumerate(trails):
             if not tr.mems:
                 continue
@@ -1531,7 +1321,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                 rb_terms.append(f"{trb} * {cnt}")
             if twb:
                 wb_terms.append(f"{twb} * {cnt}")
-        w(1, "memory = rt.memory")
         w(1, f"memory.requests += {' + '.join(req_terms)}")
         if rb_terms:
             w(1, f"memory.bytes_read += {' + '.join(rb_terms)}")
@@ -1551,7 +1340,12 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(2, f"_C[_LK{j}] = _C.get(_LK{j}, 0) + _cn{j}")
 
     namespace = {
-        "_deque": deque,
+        "_deque": deque, "_Z3": (0, 0, 0), "_kernel": _chunk_kernel,
+        # channel of each flat bank index (channel * banks + bank): one
+        # list lookup per access instead of a per-trip channel list
+        "_CH": [bi // dram.banks_per_channel
+                for bi in range(dram.channels * dram.banks_per_channel)],
+        "_P": nplan,
         "_FLOPS": EventKind.FLOPS, "_INTOPS": EventKind.INTOPS,
         "_MRB": EventKind.MEM_READ_BYTES,
         "_MWB": EventKind.MEM_WRITE_BYTES,
@@ -1570,7 +1364,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         namespace["_PP2"] = (EventKind.MEM_READ_BYTES, prb * trips)
         namespace["_PP3"] = (EventKind.MEM_WRITE_BYTES, pwb * trips)
     for li, lvl in enumerate(levels):
-        for si, (_compiled, _d, flops, intops) in enumerate(lvl.leading):
+        for si, (_c, _d, flops, intops, _r) in enumerate(lvl.leading):
             namespace[f"_PL{li}_{si}"] = ((EventKind.FLOPS, flops),
                                           (EventKind.INTOPS, intops))
     for u, tr in enumerate(trails):
@@ -1596,39 +1390,94 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                 hoists.append(f"    _b{t}g = _b{t}.get")
         lines[hoist_at:hoist_at] = hoists
     source = "\n".join(lines)
-    code = compile(source, f"<ndrive:{uid}:{trips if trips else 'N'}>",
-                   "exec")
+    code = compile(source,
+                   f"<ndrive:{nplan.uid}:{trips if trips else 'N'}>", "exec")
     exec(code, namespace)
-    return namespace["_ndrive"], source
+    return namespace["_ndrive"]
 
 
-def _nest_driver_for(nplan, runtime, trips: int):
+def _nest_driver_for(nplan: NestPlan, runtime, trips):
     """The trip-specialized driver for this dispatch, compiled on demand.
 
     Drivers are cached on the plan, keyed by the per-entry trip count
     when it is small enough to specialize (unrolled or single-chunk
-    bodies) and under key ``0`` for the general chunked body.
+    bodies) and under key ``0`` for the general chunked body, which is
+    the only body of a depth-0 plan.
     """
 
-    key = trips if trips <= nplan.chunk else 0
+    key = trips if nplan.levels and trips <= nplan.chunk else 0
     driver = nplan.drivers.get(key)
     if driver is None:
         rec = runtime.recorder
-        driver, source = _compile_nest_driver(
-            nplan.levels, nplan.trails, nplan.pipe, nplan.pseg, nplan.mem,
-            nplan.group_id is not None, nplan.group_cost, nplan.chunk,
-            nplan.window, nplan.dram, nplan.uid,
-            runtime.ports.outstanding_limit,
+        driver = _compile_nest_driver(
+            nplan, runtime.ports.outstanding_limit,
             runtime.semaphore.grant_latency, trips if key else None,
             rec.config.sampling_period, frozenset(rec._enabled_kinds),
             rec.config.record_states and rec.config.enabled,
-            rec.config.state_record_bits(rec.num_threads))
+            rec.config.state_record_bits(rec.num_threads),
+            runtime.attribution)
         nplan.drivers[key] = driver
-        nplan.driver_srcs[key] = source
     return driver
 
 
-def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
+def _bank_rows(runtime, mem, idxs) -> tuple:
+    """(flat DRAM bank index, row) lists per external access."""
+
+    cfg = runtime.memory.config
+    buffers = runtime.buffers
+    row_span = cfg.row_bytes * cfg.banks_per_channel * cfg.channels
+    lists: list = []
+    for (_start, _off, _nbytes, _is_write, name), idx in zip(mem, idxs):
+        buf = buffers[name]
+        addr = buf.base_addr + idx * buf.elem_bytes
+        channel = (addr // cfg.interleave_bytes) % cfg.channels
+        bank = (addr // cfg.row_bytes) % cfg.banks_per_channel
+        lists.append((channel * cfg.banks_per_channel + bank).tolist())
+        lists.append((addr // row_span).tolist())
+    return tuple(lists)
+
+
+def _chunk_kernel(runtime, nplan: NestPlan, ctx, iv: int, step: int,
+                  batch: int):
+    """Run one depth-0 chunk's value kernel; its bank/row lists, or None.
+
+    ``None`` (a :class:`VectorFallback`, raised before any side effect)
+    asks the driver to run the chunk through the scalar interpreter.
+    """
+
+    vseg = nplan.vseg
+    values = ctx.values
+    ivs = iv + step * _iota(batch)
+    try:
+        outs, idxs = vseg.fn(ctx, ctx.vars, ctx.mem, ivs, batch,
+                             *[values[vid] for vid in vseg.inputs])
+    except VectorFallback:
+        runtime.fp_fallbacks += 1
+        return None
+    for vid, value in zip(vseg.outputs, outs):
+        values[vid] = value
+    values[nplan.p_iv] = int(ivs[-1])
+    runtime.fp_batches += 1
+    runtime.fp_iters += batch
+    return _bank_rows(runtime, nplan.mem, idxs)
+
+
+def prepare_loop(runtime, nplan: NestPlan, tid: int, ctx, state, group,
+                 acct, lrt: tuple, lower: int, step: int, trips: int):
+    """The timing driver of one depth-0 loop dispatch.
+
+    Value kernels run inside the driver, one per chunk at the chunk's
+    start; ``lrt`` is the executor's per-loop invariants tuple, used
+    for chunks that fall back to the scalar interpreter.
+    """
+
+    driver = _nest_driver_for(nplan, runtime, trips)
+    return driver(runtime, tid, ctx, state, group, acct, trips, lower,
+                  step, lrt)
+
+
+def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
+                 acct):
     """Functional pre-pass + mega-batch; returns the nest's timing driver.
 
     Walks the nest's sequential skeleton once, running leading segments
@@ -1636,7 +1485,8 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
     accumulator seeds, entry-varying kernel inputs and trailing-segment
     snapshots; then evaluates all ``entries x trips`` pipelined
     iterations in one nest-mode vector call.  Returns ``None`` to fall
-    back to the reference per-entry path — the pre-pass only re-executes
+    back to per-entry execution (each inner loop then runs on its own
+    depth-0 plan) — the pre-pass only re-executes
     leading segments, which the reference then repeats identically, so
     bailing at any point (empty loops, :class:`VectorFallback`) is
     side-effect free.
@@ -1661,7 +1511,7 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
     pb: list = []
     mem_view = ctx.mem
     lead_fns = [[(compiled.fn, compiled.inputs, compiled.outputs)
-                 for compiled, _d, _f, _io in lvl.leading]
+                 for compiled, _d, _f, _io, _r in lvl.leading]
                 for lvl in levels]
 
     def walk(li: int) -> bool:
@@ -1737,20 +1587,7 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
     values[nplan.p_iv] = int(ivs[-1])
     fins = [arr.tolist() for arr in fin_arrs]
 
-    memory = runtime.memory
-    cfg = memory.config
     buffers = runtime.buffers
-    row_span = cfg.row_bytes * cfg.banks_per_channel * cfg.channels
-    bkrw: list = []
-    for (_start, _off, _nbytes, _is_write, name), idx in zip(nplan.mem,
-                                                             idxs):
-        buf = buffers[name]
-        addr = buf.base_addr + idx * buf.elem_bytes
-        channel = (addr // cfg.interleave_bytes) % cfg.channels
-        bank = (addr // cfg.row_bytes) % cfg.banks_per_channel
-        bkrw.append((channel * cfg.banks_per_channel + bank).tolist())
-        bkrw.append((addr // row_span).tolist())
-        bkrw.append(channel.tolist())
     tbufs: list = []
     for tr in trails:
         for _s, _sl, _nb, _iw, name in tr.mems:
@@ -1758,13 +1595,10 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
             tbufs.append(buf.base_addr)
             tbufs.append(buf.elem_bytes)
 
-    hist_r, hist_w = runtime.port_hists[tid]
     driver = _nest_driver_for(nplan, runtime, trips)
-    gen = driver(runtime, tid, ctx, state, group, trips,
-                 tuple(n for _lo, _st, n in bounds_resolved),
-                 runtime.ports.outstanding_limit, memory._bank_row,
-                 memory._bank_ready, memory._bus_busy, hist_r, hist_w,
-                 fins, tins, tuple(bkrw), tuple(tbufs))
+    gen = driver(runtime, tid, ctx, state, group, acct, trips,
+                 tuple(n for _lo, _st, n in bounds_resolved), fins, tins,
+                 _bank_rows(runtime, nplan.mem, idxs), tuple(tbufs))
     runtime.entries_batched += entries
     runtime.fp_iters += total
     runtime.fp_batches += entries * ((trips + nplan.chunk - 1)

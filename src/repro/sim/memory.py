@@ -162,35 +162,6 @@ class PortSet:
         history.append(completion)
         return completion
 
-    def request_many(self, thread: int, ats: list[int], addrs: list[int],
-                     nbytes: int, is_write: bool) -> None:
-        """Issue a batch of same-size requests in order.
-
-        State-identical to calling :meth:`request` once per element;
-        the per-call dictionary traffic is hoisted out of the loop.
-        Completions are not returned — the fast path uses this for
-        posted writes only.
-        """
-
-        key = (thread, is_write)
-        history = self._history[key]
-        limit = self.outstanding_limit
-        access = self.memory.access_time
-        append = history.append
-        last = self._last_completion.get(key, 0)
-        for at, addr in zip(ats, addrs):
-            if len(history) >= limit:
-                head = history[0]
-                if head > at:
-                    at = head
-                del history[:1]
-            completion = access(at, addr, nbytes, is_write)
-            if completion < last:
-                completion = last
-            last = completion
-            append(completion)
-        self._last_completion[key] = last
-
 
 def element_bytes(ty: Type) -> int:
     """Byte size of one element moved by a load/store of type ``ty``."""

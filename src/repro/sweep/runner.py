@@ -73,8 +73,14 @@ _POLL_S = 0.1
 _TIMEOUT_GRACE_S = 5.0
 
 
-class JobTimeout(Exception):
-    """Raised inside a job when its inline wall-clock deadline expires."""
+class JobTimeout(BaseException):
+    """Raised inside a job when its inline wall-clock deadline expires.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: the deadline can
+    fire anywhere in the job, and the broad ``except Exception``
+    handlers there (a cache load treating errors as misses, for one)
+    must not swallow it and let the job finish ``ok``.
+    """
 
 
 @contextmanager

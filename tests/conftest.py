@@ -16,6 +16,25 @@ def fast_sim_config() -> SimConfig:
     return SimConfig(thread_start_interval=10, launch_overhead=20)
 
 
+#: test-case labels for the execution strategies, mapped to
+#: ``SimConfig`` keyword arguments.  Two labels reach the fast engine:
+#: ``auto`` leaves ``exec_mode`` at its default, so it also checks that
+#: the default is the fast engine; ``vectorized`` asks for ``"fast"`` by
+#: name.
+EXEC_MODES = {
+    "reference": {"exec_mode": "reference"},
+    "fast": {"exec_mode": "fast"},
+    "vectorized": {"exec_mode": "fast"},
+    "auto": {},
+}
+
+
+def sim_config(mode: str, **kwargs) -> SimConfig:
+    """A ``SimConfig`` for the execution strategy labelled ``mode``."""
+
+    return SimConfig(**EXEC_MODES[mode], **kwargs)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

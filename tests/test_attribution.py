@@ -16,10 +16,11 @@ import pytest
 from repro.apps import run_gemm, run_pi
 from repro.apps.gemm import GEMM_VERSIONS
 from repro.cli import main
-from repro.core import SimConfig
 from repro.paraver import reconstruct_run, write_trace
 from repro.paraver.format import ATTR_EVENT_BASE
 from repro.profiling.attribution import AttributionTable, Cause
+
+from .conftest import sim_config
 
 MODES = ("reference", "vectorized", "auto")
 DIM = 16
@@ -28,15 +29,15 @@ PI_STEPS = 3200
 
 
 @functools.lru_cache(maxsize=None)
-def gemm(version: str, mode: str = "auto", attribution: bool = True):
-    cfg = SimConfig(thread_start_interval=50, exec_mode=mode,
-                    attribution=attribution)
+def gemm(version: str, mode: str = "fast", attribution: bool = True):
+    cfg = sim_config(mode, thread_start_interval=50,
+                     attribution=attribution)
     return run_gemm(version, dim=DIM, num_threads=THREADS, sim_config=cfg)
 
 
 @functools.lru_cache(maxsize=None)
-def pi(mode: str = "auto", attribution: bool = True):
-    cfg = SimConfig(exec_mode=mode, attribution=attribution)
+def pi(mode: str = "fast", attribution: bool = True):
+    cfg = sim_config(mode, attribution=attribution)
     return run_pi(PI_STEPS, num_threads=THREADS, sim_config=cfg)
 
 
@@ -102,11 +103,11 @@ class TestDifferential:
 class TestZeroCostWhenOff:
     @pytest.mark.parametrize("version", ("naive", "blocked"))
     def test_cycles_unchanged(self, version):
-        assert gemm(version, "auto", True).cycles == \
-            gemm(version, "auto", False).cycles
+        assert gemm(version, "fast", True).cycles == \
+            gemm(version, "fast", False).cycles
 
     def test_off_trace_has_no_attr_records(self, tmp_path):
-        run = gemm("naive", "auto", False)
+        run = gemm("naive", "fast", False)
         assert run.result.attribution is None
         files = write_trace(run.result.trace, str(tmp_path / "off"))
         for line in open(files.prv):
@@ -168,7 +169,7 @@ class TestReportLayer:
         from repro.report import build_report
         from repro.report.serialize import report_to_dict
 
-        report = build_report(gemm("naive", "auto", False).result)
+        report = build_report(gemm("naive", "fast", False).result)
         assert report.attribution is None
         assert report_to_dict(report)["attribution"] is None
 
@@ -218,7 +219,7 @@ class TestWhyCli:
         assert "more region(s)" in capsys.readouterr().out
 
     def test_why_rejects_plain_trace(self, tmp_path):
-        run = gemm("naive", "auto", False)
+        run = gemm("naive", "fast", False)
         files = write_trace(run.result.trace, str(tmp_path / "plain"))
         with pytest.raises(SystemExit, match="--attribution"):
             main(["why", files.prv])

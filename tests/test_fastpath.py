@@ -1,7 +1,7 @@
 """Differential tests for the vectorized pipelined-loop fast path.
 
 The fast path (:mod:`repro.sim.fastpath`) is a pure performance
-optimization: ``exec_mode="auto"``/``"vectorized"`` must produce
+optimization: ``exec_mode="fast"`` must produce
 **bit-identical** simulated state to the scalar reference interpreter
 (``exec_mode="reference"``) — cycles, stalls, DRAM counters, every
 profiling event series, and every output buffer.  These tests pin that
@@ -19,6 +19,8 @@ from repro.apps.gemm import EXTRA_VERSIONS, GEMM_VERSIONS
 from repro.core.program import Program
 from repro.sim.config import SimConfig
 
+from .conftest import sim_config
+
 
 @pytest.fixture(autouse=True)
 def _telemetry_disabled_after():
@@ -29,7 +31,7 @@ def _telemetry_disabled_after():
 
 
 def _config(mode: str) -> SimConfig:
-    return SimConfig(thread_start_interval=50, exec_mode=mode)
+    return sim_config(mode, thread_start_interval=50)
 
 
 def _signature(result):
@@ -64,7 +66,7 @@ class TestGemmDifferential:
         ref = run_gemm(version, dim=16, num_threads=4,
                        sim_config=_config("reference")).result
         fast = run_gemm(version, dim=16, num_threads=4,
-                        sim_config=_config("auto")).result
+                        sim_config=_config("fast")).result
         _assert_identical(ref, fast)
 
     @pytest.mark.parametrize("mode", ["auto", "vectorized"])
@@ -81,7 +83,7 @@ class TestPiDifferential:
         ref = run_pi(8192, num_threads=4,
                      sim_config=_config("reference")).result
         fast = run_pi(8192, num_threads=4,
-                      sim_config=_config("auto")).result
+                      sim_config=_config("fast")).result
         _assert_identical(ref, fast)
 
 
@@ -91,7 +93,7 @@ class TestPiDifferential:
 class TestFastpathTelemetry:
     def test_stock_gemm_uses_fast_path_without_fallbacks(self):
         session = telemetry.configure(enabled=True)
-        run_gemm("naive", dim=16, num_threads=4, sim_config=_config("auto"))
+        run_gemm("naive", dim=16, num_threads=4, sim_config=_config("fast"))
         counters = session.counters
         # telemetry.add drops zero amounts, so absent means zero
         assert counters.get("sim.fastpath.batches", 0) > 0
@@ -140,7 +142,7 @@ def _run_accum(mode: str):
 class TestForcedFallback:
     def test_bit_identical_via_scalar_fallback(self):
         ref, out_ref = _run_accum("reference")
-        fast, out_fast = _run_accum("auto")
+        fast, out_fast = _run_accum("fast")
         _assert_identical(ref, fast)
         assert np.array_equal(out_ref, out_fast)
         # the kernel really accumulated: thread t sums a[t::2]
@@ -150,7 +152,7 @@ class TestForcedFallback:
 
     def test_fallback_counter_fires(self):
         session = telemetry.configure(enabled=True)
-        _run_accum("auto")
+        _run_accum("fast")
         counters = session.counters
         assert counters.get("sim.fastpath.fallbacks", 0) > 0
         assert counters.get("sim.fastpath.batches", 0) == 0
@@ -163,3 +165,56 @@ def test_unknown_exec_mode_rejected():
     with pytest.raises(ValueError, match="exec_mode"):
         run_gemm("naive", dim=16, num_threads=4,
                  sim_config=SimConfig(exec_mode="turbo"))
+
+
+# ----------------------------------------------------------------------
+# one loop, both kinds of chunk: a scatter whose targets collide in
+# only some chunks hands those chunks to the scalar interpreter and the
+# rest to the timing driver, with the in-flight window, port windows
+# and cycle-accounting parts carried across every hand-off
+# ----------------------------------------------------------------------
+SCATTER_SRC = """
+void scat(float* a, int* idx, float* out, int n) {
+  #pragma omp target parallel map(to:a[0:n], idx[0:n]) \\
+      map(tofrom:out[0:n]) num_threads(2)
+  {
+    int t = omp_get_thread_num();
+    int nt = omp_get_num_threads();
+    for (int i = t; i < n; i += nt) {
+      out[idx[i]] = out[idx[i]] + a[i];
+    }
+  }
+}
+"""
+
+
+def _run_scatter(mode: str, attribution: bool):
+    n = 200
+    idx = np.arange(n, dtype=np.int32)
+    # collisions inside each thread's second chunk (after a fast one)
+    # and inside thread 0's third (followed by a fast one)
+    idx[100:104] = 7
+    idx[150] = 152
+    a = np.arange(n, dtype=np.float32)
+    out = np.zeros(n, dtype=np.float32)
+    cfg = SimConfig(exec_mode=mode, attribution=attribution)
+    result = Program(SCATTER_SRC, sim_config=cfg).run(a=a, idx=idx, out=out,
+                                                       n=n)
+    return result.sim, out
+
+
+class TestMixedChunks:
+    @pytest.mark.parametrize("attribution", [False, True])
+    def test_bit_identical(self, attribution):
+        ref, out_ref = _run_scatter("reference", attribution)
+        fast, out_fast = _run_scatter("fast", attribution)
+        _assert_identical(ref, fast)
+        assert np.array_equal(out_ref, out_fast)
+        assert fast.attribution == ref.attribution
+
+    def test_both_chunk_kinds_run(self):
+        session = telemetry.configure(enabled=True)
+        _run_scatter("fast", False)
+        counters = session.counters
+        assert counters.get("sim.fastpath.batches", 0) > 0
+        assert counters.get("sim.fastpath.fallbacks", 0) > 0

@@ -10,10 +10,13 @@ determinism contract (cycles identical with observability on or off).
 import io
 import json
 import os
+import pickle
+import time
 
 import pytest
 
 from repro import telemetry
+from repro.hls.cache import CompileCache
 from repro.telemetry import (
     SNAPSHOT_SCHEMA, Telemetry, chrome_trace_events, merge_sweep_doc,
     merged_chrome_events, merged_chrome_payload, render_job_breakdown,
@@ -436,11 +439,22 @@ class TestSweepProgress:
 # inline per-job timeout
 # ----------------------------------------------------------------------
 class TestInlineTimeout:
-    def test_timeout_becomes_structured_record(self):
-        result = execute_job(tiny_job(dim=48),
-                             timeout=0.01)
+    def test_timeout_becomes_structured_record(self, tmp_path, monkeypatch):
+        # the deadline expires inside the compile-cache load, whose
+        # broad error handler treats failures as misses: the timeout
+        # must still end the job, not a false miss and an `ok` run
+        cache = CompileCache(str(tmp_path), memory=False)
+        assert execute_job(tiny_job(dim=48), cache=cache).status == "ok"
+        real_load = pickle.load
+
+        def slow_load(handle):
+            time.sleep(30.0)  # far past the deadline; the alarm cuts it
+            return real_load(handle)
+
+        monkeypatch.setattr("repro.hls.cache.pickle.load", slow_load)
+        result = execute_job(tiny_job(dim=48), cache=cache, timeout=0.05)
         assert result.status == "timeout"
-        assert "0.01s per-job timeout" in result.error
+        assert "0.05s per-job timeout" in result.error
         assert result.wall_s < 5.0
 
     def test_timeout_in_sweep_emits_job_failed_event(self, tmp_path):

@@ -14,6 +14,7 @@ import pytest
 
 from repro import telemetry
 from repro.apps.runners import run_gemm
+from repro.hls import cache as cache_module
 from repro.hls.cache import CompileCache
 from repro.sweep import (
     SWEEP_SCHEMA, JobSpec, SweepSpec, execute_job, expand_jobs, gemm_sweep,
@@ -249,6 +250,25 @@ class TestCompileCacheInSweeps:
         run_sweep(small_jobs()[:1], jobs=1, use_cache=False,
                   cache_dir=str(tmp_path / "cache"))
         assert not (tmp_path / "cache").exists()
+
+    def test_changed_compiler_fingerprint_misses(self, tmp_path,
+                                                 monkeypatch):
+        """An edit to the compiler's sources must not reuse old pickles."""
+
+        spec = small_jobs()[0]
+        cache = CompileCache(str(tmp_path), memory=False)
+        assert execute_job(spec, cache=cache).compile_cache == "miss"
+        assert execute_job(spec, cache=cache).compile_cache == "hit"
+        monkeypatch.setattr(cache_module, "compiler_fingerprint",
+                            lambda: "0" * 64)
+        assert execute_job(spec, cache=cache).compile_cache == "miss"
+        assert execute_job(spec, cache=cache).compile_cache == "hit"
+
+    def test_compiler_fingerprint_is_stable(self):
+        fingerprint = cache_module.compiler_fingerprint()
+        assert len(fingerprint) == 64
+        cache_module.compiler_fingerprint.cache_clear()
+        assert cache_module.compiler_fingerprint() == fingerprint
 
     def test_pickled_accelerator_simulates_identically(self):
         """Regression: local_groups/local_costs were keyed by id(segment),
