@@ -69,7 +69,7 @@ from .frontend.pragmas import eval_int_expr
 from .hls.report import compile_report
 from .ir.types import PointerType
 from .paraver import (
-    parse_prv, render_series, render_state_timeline, write_trace,
+    PrvReader, render_series, render_state_timeline, write_trace,
     bandwidth_series_gbs,
 )
 
@@ -801,6 +801,26 @@ def main(argv: Optional[list[str]] = None) -> int:
     return status
 
 
+def _prv_totals(path: str):
+    """``(end_time, tasks, cycles per state, value total per event type)``."""
+
+    def add(totals: dict, keys, weights) -> None:
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        sums = np.zeros(len(distinct), dtype=np.int64)
+        np.add.at(sums, inverse, weights)
+        for key, value in zip(distinct.tolist(), sums.tolist()):
+            totals[key] = totals.get(key, 0) + value
+
+    durations: dict[int, int] = {}
+    by_type: dict[int, int] = {}
+    with PrvReader(path) as reader:
+        for block in reader:
+            add(durations, block.states[:, 4],
+                block.states[:, 3] - block.states[:, 2])
+            add(by_type, block.events[:, 3], block.events[:, 4])
+    return reader.end_time, reader.num_tasks, durations, by_type
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "compile":
         program = _load_program(args, profiling_off=args.no_profiling)
@@ -825,7 +845,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "inspect":
         from .paraver.parser import ParaverParseError
         try:
-            parsed = parse_prv(args.trace)
+            totals = _prv_totals(args.trace)
         except OSError as exc:
             raise SystemExit(
                 f"cannot read trace {args.trace!r}: "
@@ -834,19 +854,16 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"{args.trace!r} is not a valid Paraver trace: {exc}"
             ) from exc
+        end_time, num_tasks, durations, by_type = totals
         print(f"trace      : {args.trace}")
-        print(f"duration   : {parsed.end_time} cycles")
-        print(f"threads    : {parsed.num_tasks}")
-        durations = parsed.state_durations()
+        print(f"duration   : {end_time} cycles")
+        print(f"threads    : {num_tasks}")
         total = sum(durations.values()) or 1
         names = {0: "Idle", 1: "Running", 2: "Critical", 3: "Spinning"}
         print("states     :")
         for state, duration in sorted(durations.items()):
             print(f"  {names.get(state, state):9} {duration:10d} cycles "
                   f"({100 * duration / total:5.1f}%)")
-        by_type: dict[int, int] = {}
-        for event in parsed.events:
-            by_type[event.type] = by_type.get(event.type, 0) + event.value
         if by_type:
             print("event totals:")
             for type_id, value in sorted(by_type.items()):

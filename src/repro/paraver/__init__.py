@@ -17,7 +17,7 @@ from .metadata import (
 )
 from .parser import (
     ParaverParseError, ParsedComm, ParsedEvent, ParsedState, ParsedTrace,
-    PrvHeader, parse_prv, stream_prv,
+    PrvBlock, PrvReader, parse_prv,
 )
 from .reconstruct import (
     ReconstructedRun, reconstruct_run, reconstruct_trace,
@@ -33,7 +33,7 @@ __all__ = [
     "write_trace",
     "PcfInfo", "RowInfo", "companion_paths", "parse_pcf", "parse_row",
     "ParaverParseError", "ParsedComm", "ParsedEvent", "ParsedState",
-    "ParsedTrace", "PrvHeader", "parse_prv", "stream_prv",
+    "ParsedTrace", "PrvBlock", "PrvReader", "parse_prv",
     "ReconstructedRun", "reconstruct_run", "reconstruct_trace",
     "recover_sampling_period",
     "STATE_GLYPHS", "render_series", "render_state_timeline",

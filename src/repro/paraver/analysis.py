@@ -80,11 +80,9 @@ def load_balance(trace: RunTrace) -> float:
     down, Figs. 11-13).
     """
 
-    running = []
-    for thread in range(trace.num_threads):
-        totals = trace.state_durations(thread)
-        running.append(totals[ThreadState.RUNNING]
-                       + totals[ThreadState.CRITICAL])
+    durations = trace.states.durations()
+    running = (durations[:, ThreadState.RUNNING]
+               + durations[:, ThreadState.CRITICAL]).tolist()
     peak = max(running, default=0)
     if peak == 0:
         return 1.0
@@ -165,10 +163,12 @@ def thread_activity_windows(trace: RunTrace) -> np.ndarray:
     state view (Figs. 11-13); this is the programmatic equivalent.
     """
 
+    log = trace.states
     spans = np.zeros((trace.num_threads, 2), dtype=np.int64)
     for thread in range(trace.num_threads):
-        active = [iv for iv in trace.states[thread]
-                  if iv.state is not ThreadState.IDLE]
-        if active:
-            spans[thread] = (active[0].start, active[-1].end)
+        rows = log.rows(thread)
+        active = np.flatnonzero(log.state[rows] != ThreadState.IDLE)
+        if active.size:
+            spans[thread] = (log.start[rows][active[0]],
+                             log.end[rows][active[-1]])
     return spans

@@ -25,6 +25,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .. import telemetry
 from ..profiling.config import EventKind, ThreadState
 from ..profiling.recorder import RunTrace
@@ -156,58 +158,74 @@ def _header(trace: RunTrace) -> str:
 
 def _write_prv(trace: RunTrace, path: str, application: str,
                comms: list[CommRecord]) -> int:
+    # every record is a line plus a (time, order) sort key; one stable
+    # sort on the keys interleaves the record classes by time
+    lines: list[str] = []
+    times: list[np.ndarray] = []
+    orders: list[int] = []
+
+    def add(block: list[str], time, order: int) -> None:
+        lines.extend(block)
+        times.append(np.asarray(time, dtype=np.int64))
+        orders.append(order)
+
+    log = trace.states
+    task = log.thread + 1
+    add(_format_lines("1:%d:1:%d:1:%d:%d:%d",
+                      (task, task, log.start, log.end, log.state)),
+        log.start, 0)
+    period = trace.sampling_period
+    for kind, series in trace.events.items():
+        type_id = EVENT_TYPE_IDS[kind]
+        # int() truncation toward zero; zero counts are not written
+        values = series.astype(np.int64)
+        bins, threads = np.nonzero(values)
+        time = np.minimum((bins + 1) * period, trace.end_cycle)
+        add(_format_lines(f"2:%d:1:%d:1:%d:{type_id}:%d",
+                          (threads + 1, threads + 1, time,
+                           values[bins, threads])), time, 1)
+    add([f"3:{comm.src_thread + 1}:1:{comm.src_thread + 1}:1:"
+         f"{comm.logical_send}:{comm.physical_send}:"
+         f"{comm.dst_thread + 1}:1:{comm.dst_thread + 1}:1:"
+         f"{comm.logical_recv}:{comm.physical_recv}:"
+         f"{comm.size}:{comm.tag}" for comm in comms],
+        [comm.logical_send for comm in comms], 2)
+    if trace.attribution is not None:
+        # per-(region, thread, cause) table totals, one event each
+        # at the end of the trace; the region index ↔ key/label map
+        # travels in the .pcf (# REPRO_ATTR_REGION comments)
+        end = trace.end_cycle
+        index_of = {key: i for i, key in
+                    enumerate(_attr_region_keys(trace.attribution))}
+        block = []
+        for (region, t), cell in sorted(
+                trace.attribution.cells.items(),
+                key=lambda item: (index_of[item[0][0]], item[0][1])):
+            base = ATTR_EVENT_BASE + index_of[region] * ATTR_EVENT_STRIDE
+            block.extend(f"2:{t + 1}:1:{t + 1}:1:{end}:{base + slot}:{value}"
+                         for slot, value in enumerate(cell) if value != 0)
+        add(block, [end] * len(block), 3)
+
+    time = np.concatenate(times)
+    order = np.repeat(orders, [len(t) for t in times])
+    sorted_lines = np.array(lines, dtype=object)[np.lexsort((order, time))]
     with open(path, "w") as out:
-        out.write(_header(trace) + "\n")
-        out.write(f"c:{application}\n")
-        records: list[tuple[int, int, str]] = []  # (time, order, line)
-        for thread_intervals in trace.states:
-            for interval in thread_intervals:
-                cpu = interval.thread + 1
-                line = (f"1:{cpu}:1:{interval.thread + 1}:1:"
-                        f"{interval.start}:{interval.end}:"
-                        f"{STATE_IDS[interval.state]}")
-                records.append((interval.start, 0, line))
-        period = trace.sampling_period
-        for kind, series in trace.events.items():
-            type_id = EVENT_TYPE_IDS[kind]
-            bins, threads = series.shape
-            for b in range(bins):
-                time = (b + 1) * period
-                time = min(time, trace.end_cycle)
-                for t in range(threads):
-                    value = int(series[b, t])
-                    if value == 0:
-                        continue
-                    line = f"2:{t + 1}:1:{t + 1}:1:{time}:{type_id}:{value}"
-                    records.append((time, 1, line))
-        for comm in comms:
-            line = (f"3:{comm.src_thread + 1}:1:{comm.src_thread + 1}:1:"
-                    f"{comm.logical_send}:{comm.physical_send}:"
-                    f"{comm.dst_thread + 1}:1:{comm.dst_thread + 1}:1:"
-                    f"{comm.logical_recv}:{comm.physical_recv}:"
-                    f"{comm.size}:{comm.tag}")
-            records.append((comm.logical_send, 2, line))
-        if trace.attribution is not None:
-            # per-(region, thread, cause) table totals, one event each
-            # at the end of the trace; the region index ↔ key/label map
-            # travels in the .pcf (# REPRO_ATTR_REGION comments)
-            end = trace.end_cycle
-            index_of = {key: i for i, key in
-                        enumerate(_attr_region_keys(trace.attribution))}
-            for (region, t), cell in sorted(
-                    trace.attribution.cells.items(),
-                    key=lambda item: (index_of[item[0][0]], item[0][1])):
-                base = ATTR_EVENT_BASE + index_of[region] * ATTR_EVENT_STRIDE
-                for slot, value in enumerate(cell):
-                    if value == 0:
-                        continue
-                    line = (f"2:{t + 1}:1:{t + 1}:1:{end}:"
-                            f"{base + slot}:{value}")
-                    records.append((end, 3, line))
-        records.sort(key=lambda rec: (rec[0], rec[1]))
-        for _, _, line in records:
-            out.write(line + "\n")
-    return len(records)
+        out.write(f"{_header(trace)}\nc:{application}\n")
+        if lines:
+            out.write("\n".join(sorted_lines.tolist()))
+            out.write("\n")
+    return len(lines)
+
+
+def _format_lines(fmt: str, columns) -> list[str]:
+    """One ``fmt % row`` line per row of the integer ``columns``."""
+
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    n = len(columns[0])
+    if n == 0:
+        return []
+    values = np.stack(columns, axis=1).ravel().tolist()
+    return ("\n".join([fmt] * n) % tuple(values)).split("\n")
 
 
 def _attr_region_keys(table) -> list[int]:

@@ -23,23 +23,21 @@ Two things the ``.prv`` body does not carry are recovered separately:
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from ..profiling.attribution import AttributionTable, N_SLOTS
 from ..profiling.config import EventKind, ProfilingConfig, ThreadState
-from ..profiling.recorder import RunTrace, StateInterval
+from ..profiling.recorder import RunTrace, StateLog
 from ..sim.executor import SimResult
 from .format import (
     ATTR_EVENT_BASE, ATTR_EVENT_LIMIT, ATTR_EVENT_STRIDE, EVENT_TYPE_IDS,
 )
 from .metadata import PcfInfo, RowInfo, companion_paths, parse_pcf, parse_row
-from .parser import ParsedEvent, ParsedState, ParsedTrace, stream_prv
+from .parser import ParsedTrace, PrvBlock, PrvReader
 
 __all__ = ["ReconstructedRun", "reconstruct_trace", "reconstruct_run",
            "recover_sampling_period"]
@@ -88,49 +86,30 @@ def recover_sampling_period(
     GCD recovers it.  Returns ``None`` when the trace has no usable
     event records (the cadence is then unknowable).
 
-    ``parsed`` may also be a ``.prv`` path, in which case the file is
-    streamed and only the distinct flush times are held in memory.
+    ``parsed`` may also be a ``.prv`` path, read block by block with
+    only the distinct flush times held in memory.
     """
 
     if isinstance(parsed, str):
-        records = stream_prv(parsed)
-        end_time = next(records).end_time
-        event_times = (r.time for r in records if type(r) is ParsedEvent)
-    else:
-        end_time = parsed.end_time
-        event_times = (e.time for e in parsed.events)
+        with PrvReader(parsed) as reader:
+            times = [np.unique(block.events[:, 2]) for block in reader]
+            return _cadence(times, reader.end_time)
+    return _cadence([parsed.columns().events[:, 2]], parsed.end_time)
+
+
+def _cadence(times: list[np.ndarray], end_time: int) -> Optional[int]:
+    """GCD of the event times, interior ones preferred (see above)."""
+
+    times = np.unique(np.concatenate(times)) if times else np.zeros(0)
+    positive = times[times > 0]
     # an event exactly at end_time is unclamped only if it is also the
     # window boundary; including it can only leave the GCD unchanged or
     # wrong, so prefer interior times and fall back to the end time.
-    interior: set[int] = set()
-    positive: set[int] = set()
-    for time in event_times:
-        if time > 0:
-            positive.add(time)
-            if time < end_time:
-                interior.add(time)
-    times = interior or positive
-    if not times:
+    interior = positive[positive < end_time]
+    chosen = interior if interior.size else positive
+    if not chosen.size:
         return None
-    return math.gcd(*times) if len(times) > 1 else times.pop()
-
-
-def _fill_idle_gaps(thread: int, intervals: list[StateInterval],
-                    end_cycle: int) -> list[StateInterval]:
-    """Cover [0, end_cycle] completely, padding gaps with IDLE."""
-
-    covered: list[StateInterval] = []
-    cursor = 0
-    for interval in intervals:
-        if interval.start > cursor:
-            covered.append(StateInterval(thread, ThreadState.IDLE,
-                                         cursor, interval.start))
-        covered.append(interval)
-        cursor = max(cursor, interval.end)
-    if cursor < end_cycle:
-        covered.append(StateInterval(thread, ThreadState.IDLE,
-                                     cursor, end_cycle))
-    return covered
+    return int(np.gcd.reduce(chosen))
 
 
 def reconstruct_trace(parsed: Union[str, ParsedTrace],
@@ -140,111 +119,209 @@ def reconstruct_trace(parsed: Union[str, ParsedTrace],
     """Rebuild a :class:`RunTrace` from parsed ``.prv`` records.
 
     ``parsed`` may be an in-memory :class:`ParsedTrace` or a ``.prv``
-    path.  The path form streams the file and folds each record into
-    the output structures as it arrives, so only the reconstructed
-    trace (state intervals + ``[bins, threads]`` arrays) is ever held
-    in memory — never the flat record list.  When the sampling period
-    must be recovered from cadence that costs one extra streaming pass
-    over the file.
+    path.  A path is read once, block by block (:class:`PrvReader`),
+    and each block is folded into the output as it arrives: the event
+    records go into the ``[bins, threads]`` arrays, the state records
+    are kept as columns.  When the sampling period must be recovered
+    from the event cadence, the event columns wait for the end of the
+    same pass.
 
     Returns ``(trace, period_source, unknown_event_types)``; see
     :class:`ReconstructedRun` for the source vocabulary.
     """
 
-    streaming = isinstance(parsed, str)
-    if streaming:
-        records = stream_prv(parsed)
-        header = next(records)
-        end_cycle, num_threads = header.end_time, header.num_tasks
-    else:
-        end_cycle, num_threads = parsed.end_time, parsed.num_tasks
+    if isinstance(parsed, str):
+        with PrvReader(parsed) as reader:
+            return _fold(reader, reader.end_time, reader.num_tasks,
+                         sampling_period, pcf)
+    return _fold([parsed.columns()], parsed.end_time, parsed.num_tasks,
+                 sampling_period, pcf)
 
+
+def _fold(blocks: Iterable[PrvBlock], end_cycle: int, num_threads: int,
+          sampling_period: Optional[int], pcf: Optional[PcfInfo]
+          ) -> tuple[RunTrace, str, dict[int, int]]:
     if sampling_period is not None:
         period, period_source = sampling_period, "explicit"
     elif pcf is not None and pcf.sampling_period:
         period, period_source = pcf.sampling_period, "pcf"
     else:
-        cadence = recover_sampling_period(parsed)
-        if cadence is not None:
-            period, period_source = cadence, "cadence"
-        else:
-            period, period_source = ProfilingConfig().sampling_period, \
-                "default"
-
-    if streaming:
-        record_iter = records
-    else:
-        record_iter = chain(parsed.states, parsed.events)
-
-    # -- states: tasks are 1-based in the .prv, threads 0-based here
-    per_thread: list[list[StateInterval]] = [[] for _ in range(num_threads)]
-    # -- events: flush times map back to bins; the final window absorbs
-    #    clamped stamps exactly as ProfilingRecorder.finalize did
-    n_bins = max(1, -(-max(1, end_cycle) // period))
-    events: dict[EventKind, np.ndarray] = {}
+        period, period_source = None, "cadence"
+    # known-kind event columns (kind index, time, thread, value) that
+    # wait for the cadence; binned right away when the period is known
+    pending: list[np.ndarray] = []
+    times: list[np.ndarray] = []
+    series: dict[EventKind, np.ndarray] = {}
+    # kinds in order of first appearance (the events dict order)
+    kinds: dict[EventKind, None] = {}
+    states: list[np.ndarray] = []
     unknown: dict[int, int] = {}
     attribution: Optional[AttributionTable] = None
-    for record in record_iter:
-        if type(record) is ParsedState:
-            thread = record.task - 1
-            if not 0 <= thread < num_threads:
-                continue
-            per_thread[thread].append(StateInterval(
-                thread, ThreadState(record.state), record.begin, record.end))
+    for block in blocks:
+        # tasks are 1-based in the .prv, threads 0-based here
+        thread = block.states[:, 1] - 1
+        keep = (thread >= 0) & (thread < num_threads)
+        states.append(np.column_stack((thread[keep],
+                                       block.states[keep, 2:])))
+        events = block.events
+        if not len(events):
             continue
-        if type(record) is not ParsedEvent:
-            continue  # comm records carry nothing we reconstruct
-        if ATTR_EVENT_BASE <= record.type < ATTR_EVENT_LIMIT:
-            # per-(region, thread, cause) cycle-accounting totals
-            index, slot = divmod(record.type - ATTR_EVENT_BASE,
-                                 ATTR_EVENT_STRIDE)
-            if slot >= N_SLOTS:
-                unknown[record.type] = unknown.get(record.type, 0) + 1
-                continue
-            if attribution is None:
-                attribution = AttributionTable(num_threads)
-                if pcf is not None:
-                    attribution.regions.update(
-                        {key: label
-                         for key, label in pcf.attr_regions.values()})
-            if pcf is not None and index in pcf.attr_regions:
-                region = pcf.attr_regions[index][0]
-            else:
-                # no .pcf map: keep the family index as the region key
-                region = index
-            thread = record.task - 1
-            if 0 <= thread < num_threads:
-                cell = attribution.cells.get((region, thread))
-                if cell is None:
-                    cell = attribution.cells[(region, thread)] = \
-                        [0] * N_SLOTS
-                cell[slot] += int(record.value)
+        if period is None:
+            times.append(np.unique(events[:, 2]))
+        type_id = events[:, 3]
+        family = (type_id >= ATTR_EVENT_BASE) & (type_id < ATTR_EVENT_LIMIT)
+        slot = (type_id - ATTR_EVENT_BASE) % ATTR_EVENT_STRIDE
+        # the writer's own counters: index into _KIND_IDS / _KINDS
+        kind_index = np.searchsorted(_KIND_IDS, type_id)
+        known = _KIND_IDS[np.minimum(kind_index, len(_KIND_IDS) - 1)] \
+            == type_id
+        _count_first_seen(unknown, type_id[(family & (slot >= N_SLOTS))
+                                           | ~(family | known)])
+        attribution = _add_attribution(
+            attribution, events[family & (slot < N_SLOTS)], num_threads, pcf)
+        if not known.any():
             continue
-        kind = _EVENT_KINDS.get(record.type)
-        if kind is None:
-            unknown[record.type] = unknown.get(record.type, 0) + 1
-            continue
-        series = events.get(kind)
-        if series is None:
-            series = events[kind] = np.zeros((n_bins, num_threads))
-        if record.time > 0 and record.time % period == 0:
-            b = record.time // period - 1
+        for index in _kinds_first_seen(kind_index[known]):
+            kinds.setdefault(_KINDS[index])
+        thread = events[:, 1] - 1
+        keep = known & (thread >= 0) & (thread < num_threads)
+        columns = np.column_stack((kind_index[keep], events[keep, 2],
+                                   thread[keep], events[keep, 4]))
+        if period is None:
+            pending.append(columns)
         else:
-            b = record.time // period
-        b = min(max(b, 0), n_bins - 1)
-        thread = record.task - 1
-        if 0 <= thread < num_threads:
-            series[b, thread] += record.value
+            _bin_events(series, columns, period, end_cycle, num_threads)
 
-    states = []
-    for thread in range(num_threads):
-        intervals = sorted(per_thread[thread],
-                           key=lambda iv: (iv.start, iv.end))
-        states.append(_fill_idle_gaps(thread, intervals, end_cycle))
-
-    trace = RunTrace(num_threads, end_cycle, period, states, events,
+    if period is None:
+        period = _cadence(times, end_cycle)
+        if period is None:
+            period, period_source = ProfilingConfig().sampling_period, \
+                "default"
+        for columns in pending:
+            _bin_events(series, columns, period, end_cycle, num_threads)
+    # a kind seen only on out-of-range threads still gets its array
+    shape = (_n_bins(end_cycle, period), num_threads)
+    events = {kind: series[kind] if kind in series else np.zeros(shape)
+              for kind in kinds}
+    columns = np.concatenate(states) if states else \
+        np.zeros((0, 4), dtype=np.int64)
+    trace = RunTrace(num_threads, end_cycle, period,
+                     _cover(columns, end_cycle, num_threads), events,
                      attribution=attribution)
     return trace, period_source, unknown
+
+
+#: the writer's event type ids, sorted, and their kinds in that order
+_KIND_IDS = np.array(sorted(EVENT_TYPE_IDS.values()), dtype=np.int64)
+_KINDS = [_EVENT_KINDS[type_id] for type_id in _KIND_IDS.tolist()]
+
+
+def _n_bins(end_cycle: int, period: int) -> int:
+    return max(1, -(-max(1, end_cycle) // period))
+
+
+def _kinds_first_seen(kind_index: np.ndarray) -> list[int]:
+    """Distinct kind indices in order of first appearance."""
+
+    present = np.flatnonzero(np.bincount(kind_index, minlength=len(_KINDS)))
+    first = [int(np.argmax(kind_index == index)) for index in present]
+    return present[np.argsort(first)].tolist()
+
+
+def _count_first_seen(counts: dict[int, int], values: np.ndarray) -> None:
+    """Add each value's count to ``counts``, new keys in file order."""
+
+    if values.size:
+        distinct, first, n = np.unique(values, return_index=True,
+                                       return_counts=True)
+        for i in np.argsort(first).tolist():
+            key = int(distinct[i])
+            counts[key] = counts.get(key, 0) + int(n[i])
+
+
+def _add_attribution(table: Optional[AttributionTable], rows: np.ndarray,
+                     num_threads: int, pcf: Optional[PcfInfo]
+                     ) -> Optional[AttributionTable]:
+    """Fold cycle-accounting event rows (a few per region and thread)
+    into ``table``, created on the first row; rows in file order."""
+
+    for type_id, task, value in rows[:, [3, 1, 4]].tolist():
+        index, cause = divmod(type_id - ATTR_EVENT_BASE, ATTR_EVENT_STRIDE)
+        if table is None:
+            table = AttributionTable(num_threads)
+            if pcf is not None:
+                table.regions.update(
+                    {key: label for key, label in pcf.attr_regions.values()})
+        if pcf is not None and index in pcf.attr_regions:
+            region = pcf.attr_regions[index][0]
+        else:
+            # no .pcf map: keep the family index as the region key
+            region = index
+        if 0 <= task - 1 < num_threads:
+            cell = table.cells.get((region, task - 1))
+            if cell is None:
+                cell = table.cells[(region, task - 1)] = [0] * N_SLOTS
+            cell[cause] += value
+    return table
+
+
+def _bin_events(series: dict[EventKind, np.ndarray], columns: np.ndarray,
+                period: int, end_cycle: int, num_threads: int) -> None:
+    """Add event columns into their kinds' ``[bins, threads]`` arrays.
+
+    Flush times map back to bins; the final window absorbs clamped
+    stamps exactly as ProfilingRecorder.finalize did.
+    """
+
+    n_bins = _n_bins(end_cycle, period)
+    kind_index, time, thread, value = columns.T
+    b = np.where((time > 0) & (time % period == 0),
+                 time // period - 1, time // period)
+    np.clip(b, 0, n_bins - 1, out=b)
+    for index in np.flatnonzero(np.bincount(kind_index)).tolist():
+        array = series.get(_KINDS[index])
+        if array is None:
+            array = series[_KINDS[index]] = np.zeros((n_bins, num_threads))
+        rows = kind_index == index
+        np.add.at(array, (b[rows], thread[rows]),
+                  value[rows].astype(np.float64))
+
+
+def _cover(columns: np.ndarray, end_cycle: int,
+           num_threads: int) -> StateLog:
+    """Per-thread intervals sorted by (start, end), IDLE-padded to cover
+    ``[0, end_cycle]``: a gap before an interval that starts past every
+    earlier end, and a tail after the last end."""
+
+    thread, start, end, state = columns.T
+    invalid = (state < 0) | (state >= len(ThreadState))
+    if invalid.any():
+        raise ValueError(f"{state[invalid][0]} is not a valid ThreadState")
+    order = np.lexsort((end, start, thread))
+    thread, start, end, state = thread[order], start[order], end[order], \
+        state[order]
+    offsets = np.searchsorted(thread, np.arange(num_threads + 1))
+    parts = []
+    for t in range(num_threads):
+        rows = slice(offsets[t], offsets[t + 1])
+        s, e = start[rows], end[rows]
+        # the cursor before each interval: the furthest end so far
+        reach = np.maximum.accumulate(np.concatenate(([0], e)))
+        cursor = reach[:-1]
+        gap = s > cursor
+        tail = reach[-1] < end_cycle
+        slot = np.arange(len(s)) + np.cumsum(gap)
+        n = len(s) + int(gap.sum()) + int(tail)
+        out = np.zeros((n, 4), dtype=np.int64)   # IDLE unless overwritten
+        out[:, 0] = t
+        out[slot, 1], out[slot, 2], out[slot, 3] = s, e, state[rows]
+        out[slot[gap] - 1, 1], out[slot[gap] - 1, 2] = cursor[gap], s[gap]
+        if tail:
+            out[-1, 1], out[-1, 2] = reach[-1], end_cycle
+        parts.append(out)
+    covered = np.concatenate(parts) if parts else np.zeros((0, 4), np.int64)
+    return StateLog(covered[:, 0], covered[:, 1], covered[:, 2],
+                    covered[:, 3], num_threads)
 
 
 def reconstruct_run(source: Union[str, ParsedTrace],
@@ -254,7 +331,7 @@ def reconstruct_run(source: Union[str, ParsedTrace],
     """Load a ``.prv`` (with its companions, when present) end to end.
 
     ``source`` is a ``.prv`` path or an already-parsed trace.  Paths
-    are streamed record by record (see :func:`reconstruct_trace`), so
+    are read once, block by block (see :func:`reconstruct_trace`), so
     loading never materializes the flat record list.  The per-thread
     stall totals of the returned ``SimResult`` come from the ``STALLS``
     event series; DRAM byte totals from the memory counters.

@@ -43,31 +43,16 @@ def render_state_timeline(trace: RunTrace, width: int = 100,
     if end <= start:
         raise ValueError(f"empty render window [{start}, {end})")
     span = end - start
+    # bucket b covers [start + b*span//width, start + (b+1)*span//width)
+    edges = start + np.arange(width + 1, dtype=np.int64) * span // width
+    glyphs = np.array([STATE_GLYPHS[state] for state in ThreadState])
     lines = []
     for thread in range(trace.num_threads):
-        # accumulate per-bucket occupancy per state
-        occupancy = np.zeros((width, len(ThreadState)))
-        for interval in trace.states[thread]:
-            lo = max(interval.start, start)
-            hi = min(interval.end, end)
-            if hi <= lo:
-                continue
-            first = (lo - start) * width // span
-            last = min(width - 1, ((hi - start) * width - 1) // span)
-            for bucket in range(first, last + 1):
-                b_lo = start + bucket * span // width
-                b_hi = start + (bucket + 1) * span // width
-                overlap = min(hi, b_hi) - max(lo, b_lo)
-                if overlap > 0:
-                    occupancy[bucket, int(interval.state)] += overlap
-        row = []
-        for bucket in range(width):
-            if occupancy[bucket].sum() == 0:
-                row.append(STATE_GLYPHS[ThreadState.IDLE])
-            else:
-                dominant = ThreadState(int(occupancy[bucket].argmax()))
-                row.append(STATE_GLYPHS[dominant])
-        lines.append(f"t{thread}: " + "".join(row))
+        occupancy = trace.states.occupancy(thread, edges)
+        # the state occupying most of the bucket; Idle when none does
+        dominant = np.where(occupancy.any(axis=1), occupancy.argmax(axis=1),
+                            int(ThreadState.IDLE))
+        lines.append(f"t{thread}: " + "".join(glyphs[dominant].tolist()))
     legend = "   [" + " ".join(f"{g}={s.name.title()}"
                                for s, g in STATE_GLYPHS.items()) + "]"
     return "\n".join(lines) + "\n" + legend

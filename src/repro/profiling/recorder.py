@@ -16,8 +16,9 @@ can book the corresponding external-memory writes — the source of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import operator
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .config import (
     ATTRIBUTION_EVENTS, EventKind, ProfilingConfig, ThreadState,
 )
 
-__all__ = ["StateInterval", "RunTrace", "ProfilingRecorder"]
+__all__ = ["StateInterval", "StateLog", "RunTrace", "ProfilingRecorder"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,137 @@ class StateInterval:
         return self.end - self.start
 
 
+#: thread states by their 2-bit encoding (``_STATES[code]``)
+_STATES = tuple(ThreadState)
+
+
+class StateLog:
+    """Per-thread state intervals as flat columns, grouped by thread.
+
+    ``thread``/``start``/``end`` are ``int64`` and ``state`` is ``int8``
+    (the 2-bit encoding); the rows of thread ``t`` are
+    ``offsets[t]:offsets[t + 1]``, in that thread's interval order.
+    Indexing (``log[t]``) still gives a list of :class:`StateInterval`,
+    built on first use and cached; the writer, the reconstructor and
+    the report read the columns instead.
+    """
+
+    __slots__ = ("thread", "start", "end", "state", "offsets",
+                 "_lists", "_durations")
+
+    def __init__(self, thread, start, end, state, num_threads: int):
+        self.thread = np.asarray(thread, dtype=np.int64)
+        self.start = np.asarray(start, dtype=np.int64)
+        self.end = np.asarray(end, dtype=np.int64)
+        self.state = np.asarray(state, dtype=np.int8)
+        self.offsets = np.searchsorted(
+            self.thread, np.arange(num_threads + 1), side="left")
+        self._lists: list[Optional[list[StateInterval]]] = \
+            [None] * num_threads
+        self._durations: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_lists(cls, states: Sequence[Sequence[StateInterval]]
+                   ) -> "StateLog":
+        """Columns of per-thread interval lists (list ``t`` is thread ``t``)."""
+
+        rows = [(t, int(iv.state), iv.start, iv.end)
+                for t, intervals in enumerate(states) for iv in intervals]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        log = cls(columns[:, 0], columns[:, 2], columns[:, 3],
+                  columns[:, 1], len(states))
+        log._lists = [list(intervals) for intervals in states]
+        return log
+
+    def __len__(self) -> int:
+        return len(self._lists)
+
+    def rows(self, thread: int) -> slice:
+        """Row range of ``thread`` in the columns."""
+
+        return slice(int(self.offsets[thread]), int(self.offsets[thread + 1]))
+
+    def __getitem__(self, thread: int) -> list[StateInterval]:
+        if thread < 0:
+            thread += len(self._lists)
+        intervals = self._lists[thread]
+        if intervals is None:
+            rows = self.rows(thread)
+            intervals = self._lists[thread] = [
+                StateInterval(thread, _STATES[code], start, end)
+                for code, start, end in zip(self.state[rows].tolist(),
+                                            self.start[rows].tolist(),
+                                            self.end[rows].tolist())]
+        return intervals
+
+    def __iter__(self) -> Iterator[list[StateInterval]]:
+        return (self[t] for t in range(len(self._lists)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StateLog):
+            return NotImplemented
+        return (np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.start, other.start)
+                and np.array_equal(self.end, other.end)
+                and np.array_equal(self.state, other.state))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"StateLog({len(self.start)} intervals, "
+                f"{len(self._lists)} threads)")
+
+    def durations(self) -> np.ndarray:
+        """``[threads, states]`` total cycles per thread and state (cached)."""
+
+        if self._durations is None:
+            n = len(self._lists) * len(_STATES)
+            weights = (self.end - self.start).astype(np.float64)
+            totals = np.bincount(self.thread * len(_STATES) + self.state,
+                                 weights=weights, minlength=n)
+            self._durations = totals.astype(np.int64).reshape(
+                len(self._lists), len(_STATES))
+        return self._durations
+
+    def occupancy(self, thread: int, edges: np.ndarray) -> np.ndarray:
+        """``[len(edges) - 1, states]`` cycles per state between edges.
+
+        Cell ``[b, s]`` is how many cycles of ``[edges[b], edges[b+1])``
+        the thread's state-``s`` intervals cover, summed over intervals
+        (so overlapping intervals count once each).  It is the
+        difference of the cumulative state-``s`` time at the two edges,
+        found by ``searchsorted`` over the sorted starts and ends.
+        """
+
+        edges = np.asarray(edges, dtype=np.int64)
+        rows = self.rows(thread)
+        start, end = self.start[rows], self.end[rows]
+        state = self.state[rows]
+        out = np.zeros((len(edges) - 1, len(_STATES)), dtype=np.int64)
+        for code in range(len(_STATES)):
+            mask = state == code
+            if mask.any():
+                out[:, code] = np.diff(_time_before(
+                    np.sort(start[mask]), np.sort(end[mask]), edges))
+        return out
+
+
+def _time_before(starts: np.ndarray, ends: np.ndarray,
+                 at: np.ndarray) -> np.ndarray:
+    """Σ over intervals of their cycles before each ``at`` (sorted inputs).
+
+    An interval ``[s, e)`` has ``min(x, e) - s`` cycles before ``x`` when
+    ``s < x``: the ``x - s`` of every start below ``x`` minus the
+    ``x - e`` of every end below it.
+    """
+
+    below_s = np.searchsorted(starts, at)
+    below_e = np.searchsorted(ends, at)
+    sum_s = np.concatenate(([0], np.cumsum(starts)))
+    sum_e = np.concatenate(([0], np.cumsum(ends)))
+    return (below_s * at - sum_s[below_s]) - (below_e * at - sum_e[below_e])
+
+
 @dataclass
 class RunTrace:
     """Everything the profiling unit captured during one run."""
@@ -51,8 +183,9 @@ class RunTrace:
     num_threads: int
     end_cycle: int
     sampling_period: int
-    #: per-thread list of state intervals covering [0, end_cycle]
-    states: list[list[StateInterval]]
+    #: per-thread state intervals covering [0, end_cycle]; a list of
+    #: per-thread :class:`StateInterval` lists is converted on construction
+    states: StateLog
     #: EventKind -> array[bins, threads] of per-window sums
     events: dict[EventKind, np.ndarray]
     #: bits of trace data produced (states + event flushes)
@@ -62,16 +195,17 @@ class RunTrace:
     #: per-(region, thread) cycle accounting (SimConfig.attribution)
     attribution: Optional[AttributionTable] = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.states, StateLog):
+            self.states = StateLog.from_lists(self.states)
+
     def state_durations(self, thread: Optional[int] = None
                         ) -> dict[ThreadState, int]:
         """Total cycles per state, for one thread or all threads."""
 
-        totals = {state: 0 for state in ThreadState}
-        threads = range(self.num_threads) if thread is None else [thread]
-        for t in threads:
-            for interval in self.states[t]:
-                totals[interval.state] += interval.duration
-        return totals
+        matrix = self.states.durations()
+        totals = matrix.sum(axis=0) if thread is None else matrix[thread]
+        return dict(zip(_STATES, totals.tolist()))
 
     def state_fractions(self) -> dict[ThreadState, float]:
         """Fraction of total thread-time spent in each state."""
@@ -103,6 +237,14 @@ class RunTrace:
 
         bins = self.event_series(kind).shape[0]
         return np.arange(bins, dtype=np.int64) * self.sampling_period
+
+
+_FIRST = operator.itemgetter(0)
+_SECOND = operator.itemgetter(1)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 class ProfilingRecorder:
@@ -330,17 +472,22 @@ class ProfilingRecorder:
         return trace
 
     def _finalize(self, end_cycle: int) -> RunTrace:
-        states: list[list[StateInterval]] = []
-        for thread in range(self.num_threads):
-            log = self._state_log[thread]
-            # each record runs until the next record's cycle (the last
-            # until end_cycle); empty intervals (same-cycle
-            # re-transitions) are dropped
-            ends = [cycle for cycle, _ in log]
-            del ends[0]
-            ends.append(end_cycle)
-            states.append([StateInterval(thread, st, s, e)
-                           for (s, st), e in zip(log, ends) if e > s])
+        # each record runs until the next record's cycle (the last until
+        # end_cycle); empty intervals (same-cycle re-transitions) are
+        # dropped
+        starts, ends, codes = [], [], []
+        for log in self._state_log:
+            n = len(log)
+            start = np.fromiter(map(_FIRST, log), np.int64, n)
+            end = np.append(start[1:], end_cycle)
+            keep = end > start
+            starts.append(start[keep])
+            ends.append(end[keep])
+            codes.append(np.fromiter(map(_SECOND, log), np.int8, n)[keep])
+        thread = np.repeat(np.arange(self.num_threads),
+                           [len(start) for start in starts])
+        states = StateLog(thread, _concat(starts), _concat(ends),
+                          _concat(codes), self.num_threads)
 
         # drain the deposit accumulators into the per-kind arrays (each
         # cell receives the sum of its deposits, accumulated in deposit

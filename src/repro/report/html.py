@@ -137,36 +137,18 @@ def _state_runs(trace: RunTrace, thread: int,
     """
 
     span = max(1, trace.end_cycle)
-    occupancy = np.zeros((buckets, len(ThreadState)))
-    for interval in trace.states[thread]:
-        if interval.state is ThreadState.IDLE:
-            continue
-        lo, hi = interval.start, min(interval.end, span)
-        if hi <= lo:
-            continue
-        first = lo * buckets // span
-        last = min(buckets - 1, (hi * buckets - 1) // span)
-        for bucket in range(first, last + 1):
-            b_lo = bucket * span // buckets
-            b_hi = (bucket + 1) * span // buckets
-            overlap = min(hi, b_hi) - max(lo, b_lo)
-            if overlap > 0:
-                occupancy[bucket, int(interval.state)] += overlap
-    runs: list[tuple[int, int, ThreadState]] = []
-    current: Optional[ThreadState] = None
-    start = 0
-    for bucket in range(buckets):
-        if occupancy[bucket].sum() == 0:
-            state = None
-        else:
-            state = ThreadState(int(occupancy[bucket].argmax()))
-        if state is not current:
-            if current is not None:
-                runs.append((start, bucket, current))
-            current, start = state, bucket
-    if current is not None:
-        runs.append((start, buckets, current))
-    return runs
+    edges = np.arange(buckets + 1, dtype=np.int64) * span // buckets
+    occupancy = trace.states.occupancy(thread, edges)
+    occupancy[:, int(ThreadState.IDLE)] = 0
+    # -1: no non-idle state in the bucket
+    codes = np.where(occupancy.any(axis=1), occupancy.argmax(axis=1), -1)
+    bounds = np.flatnonzero(np.diff(codes)) + 1
+    firsts = np.concatenate(([0], bounds)).tolist()
+    lasts = np.concatenate((bounds, [buckets])).tolist()
+    return [(first, last, ThreadState(code))
+            for first, last, code in zip(firsts, lasts,
+                                         codes[firsts].tolist())
+            if code >= 0]
 
 
 def _gantt_svg(report: TraceReport, width: int = 960,

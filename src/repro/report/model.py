@@ -169,13 +169,10 @@ def _efficiency(trace: RunTrace, stall_total: float) -> EfficiencyHierarchy:
         # a degenerate trace (no threads) has no efficiency to speak of
         return EfficiencyHierarchy(0.0, 1.0, 1.0, 0.0, 1.0)
     end = max(1, trace.end_cycle)
-    useful = np.zeros(trace.num_threads)
-    active = np.zeros(trace.num_threads)
-    for thread in range(trace.num_threads):
-        totals = trace.state_durations(thread)
-        useful[thread] = totals[ThreadState.RUNNING] \
-            + totals[ThreadState.CRITICAL]
-        active[thread] = useful[thread] + totals[ThreadState.SPINNING]
+    durations = trace.states.durations()
+    useful = (durations[:, ThreadState.RUNNING]
+              + durations[:, ThreadState.CRITICAL]).astype(float)
+    active = useful + durations[:, ThreadState.SPINNING]
     max_useful = useful.max()
     max_active = active.max()
     balance = float(useful.mean() / max_useful) if max_useful else 1.0
@@ -218,8 +215,8 @@ def build_report(result, label: str = "run", source: str = "",
     if not missing:
         phases = phase_overlap(trace, clock)
 
-    thread_states = [trace.state_durations(t)
-                     for t in range(trace.num_threads)]
+    thread_states = [dict(zip(ThreadState, row))
+                     for row in trace.states.durations().tolist()]
     stall_total = float(sum(result.stalls))
     end = max(1, trace.end_cycle)
     if trace.end_cycle <= 0 or trace.num_threads <= 0:
