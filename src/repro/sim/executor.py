@@ -484,38 +484,24 @@ class _Runtime:
                 else:
                     yield from self.run_item(item, tid, ctx, acct)
             return
-        # dataflow execution: spawn one process per item
-        events = [Event(f"item{i}") for i in range(len(items))]
-        if acct is not None:
-            yield from self._run_dataflow(body, tid, ctx, acct, events)
-            return
-
-        def item_proc(index: int):
-            for dep in deps[index]:
-                yield events[dep]
-            yield from self.run_item(items[index], tid, ctx, None)
-            events[index].set(self.engine)
-
-        for index in range(len(items)):
-            self.engine.spawn(item_proc(index), name=f"t{tid}-item{index}")
-        for event in events:
-            yield event
+        yield from self._run_dataflow(body, tid, ctx, acct)
 
     def _run_dataflow(self, body: BodySchedule, tid: int,
-                      ctx: KernelFunctionalContext, acct,
-                      events: list[Event]):
-        """Dataflow execution with critical-path cycle accounting.
+                      ctx: KernelFunctionalContext, acct):
+        """Dataflow execution: one process per item.
 
-        Items overlap on one hardware thread, so each item buffers its
-        deposits; once the region completes, the chain of items that
-        determined the region's end (walking dependences whose finish
-        time equals the successor's start) is replayed into ``acct`` —
-        it tiles the region's span exactly, while overlapped work off
-        the chain was hidden and consumed no wall time.
+        Items overlap on one hardware thread, so with cycle accounting
+        on each item buffers its deposits; once the region completes,
+        the chain of items that determined the region's end (walking
+        dependences whose finish time equals the successor's start) is
+        replayed into ``acct`` — it tiles the region's span exactly,
+        while overlapped work off the chain was hidden and consumed no
+        wall time.
         """
 
         items, deps = body.items, body.deps
         n = len(items)
+        events = [Event(f"item{i}") for i in range(n)]
         starts = [0] * n
         ends = [0] * n
         buffers: list[Optional[_BufferAcct]] = [None] * n
@@ -523,7 +509,7 @@ class _Runtime:
         def item_proc(index: int):
             for dep in deps[index]:
                 yield events[dep]
-            buffer = _BufferAcct()
+            buffer = None if acct is None else _BufferAcct()
             starts[index] = self.engine.now
             yield from self.run_item(items[index], tid, ctx, buffer)
             ends[index] = self.engine.now
@@ -535,6 +521,8 @@ class _Runtime:
             self.engine.spawn(item_proc(index), name=f"t{tid}-item{index}")
         for event in events:
             yield event
+        if acct is None:
+            return
         # walk the critical path back from the last-finishing item
         last = 0
         for index in range(1, n):
@@ -620,35 +608,13 @@ class _Runtime:
             values[vid] = value
 
     def _issue_mem(self, segment: Segment, tid: int,
-                   mem_trace, issue: int) -> int:
-        """Book the segment's external accesses; returns extra stall cycles."""
+                   mem_trace, issue: int) -> tuple[int, int, int]:
+        """Book the segment's external accesses.
 
-        extra = 0
-        buffers = self.buffers
-        for memop, (index, nbytes, is_write, name) in zip(segment.mem_ops,
-                                                          mem_trace):
-            buf = buffers[name]
-            addr = buf.base_addr + index * buf.elem_bytes
-            completion = self.ports.request(tid, issue + memop.start, addr,
-                                            nbytes, is_write)
-            if is_write:
-                # posted write: the pipeline proceeds once the request is on
-                # the bus; ordering is the interconnect's responsibility
-                continue
-            lateness = completion - (issue + memop.start + memop.sched_latency)
-            if lateness > extra:
-                extra = lateness
-        return extra
-
-    def _issue_mem_attr(self, segment: Segment, tid: int,
-                        mem_trace, issue: int) -> tuple[int, int, int]:
-        """:meth:`_issue_mem` plus the binding read's stall decomposition.
-
-        Issues the exact same port requests; additionally snapshots the
-        DRAM model's row-miss and arbitration counters around each read
-        so the request that *binds* ``extra`` (the latest response,
-        first maximum) carries its row-activation penalty and
-        arbitration wait out.  Returns ``(extra, penalty, arb)``.
+        Returns ``(extra, penalty, arb)``: the extra stall cycles of the
+        latest read response (first maximum), and that binding request's
+        row-activation penalty and arbitration wait, read off the DRAM
+        model's counters around it for cycle accounting.
         """
 
         extra = 0
@@ -666,6 +632,8 @@ class _Runtime:
             completion = self.ports.request(tid, issue + memop.start, addr,
                                             nbytes, is_write)
             if is_write:
+                # posted write: the pipeline proceeds once the request is on
+                # the bus; ordering is the interconnect's responsibility
                 continue
             lateness = completion - (issue + memop.start + memop.sched_latency)
             if lateness > extra:
@@ -712,11 +680,7 @@ class _Runtime:
         mem.trace.clear()
         self._call_segment(compiled, ctx)
         now = self.engine.now
-        if acct is None:
-            extra = self._issue_mem(segment, tid, mem.trace, now)
-        else:
-            extra, penalty, arb = self._issue_mem_attr(segment, tid,
-                                                       mem.trace, now)
+        extra, penalty, arb = self._issue_mem(segment, tid, mem.trace, now)
         duration = segment.depth + extra
         end = now + duration
         rbytes = wbytes = 0
@@ -924,17 +888,18 @@ class _Runtime:
         The reference per-trip model: functional evaluation through the
         compiled segment, leaky-bucket issue booking, window
         backpressure and per-access port/DRAM booking.  ``rt`` is the
-        loop's :meth:`_make_loop_rt` tuple; ``parts`` is ``None`` unless
-        cycle accounting is on.  Returns ``(cursor, last_retire,
-        last_parts, read bytes, written bytes, stall, ii, port, row,
-        arb, latency)``, the last five being the chunk's accounted
-        cycles.  Also the depth-0 driver's fallback for a chunk its
-        value kernel refuses.
+        loop's :meth:`_make_loop_rt` tuple; ``parts`` mirrors
+        ``inflight`` with each in-flight iteration's (row, arb, latency)
+        stall split, or is ``None`` when cycle accounting is off (window
+        backpressure then peels as latency only).  Returns ``(cursor,
+        last_retire, last_parts, read bytes, written bytes, stall, ii,
+        port, row, arb, latency)``, the last five being the chunk's
+        accounted cycles.  Also the depth-0 driver's fallback for a
+        chunk its value kernel refuses.
         """
 
         (segment, compiled, _plan, state, group, group_cost, iv_id, _chunk,
          window, ii, rec_ii, depth) = rt
-        attr = parts is not None
         mem = ctx.mem
         chunk_rbytes = 0
         chunk_wbytes = 0
@@ -942,44 +907,37 @@ class _Runtime:
         c_ii = c_port = c_row = c_arb = c_lat = 0
         for _ in range(batch):
             issue = state.book(cursor, ii)
-            if attr:
-                c_ii += issue - cursor
+            c_ii += issue - cursor
             if group is not None:
-                if not attr:
-                    issue = group.book(issue, group_cost)
-                else:
-                    booked = group.book(issue, group_cost)
-                    c_port += booked - issue
-                    issue = booked
+                booked = group.book(issue, group_cost)
+                c_port += booked - issue
+                issue = booked
             if len(inflight) >= window:
                 # stage buffers full: a late memory response now
                 # stalls this thread's pipeline (backpressure)
                 oldest = inflight.popleft()
-                oldest_parts = parts.popleft() if attr else None
+                oldest_parts = parts.popleft() if parts is not None \
+                    else (0, 0, 0)
                 if oldest - depth > issue:
                     bp = oldest - depth - issue
                     chunk_stall += bp
                     issue = oldest - depth
-                    if attr:
-                        row, arb_part, latency = self._peel(
-                            bp, oldest_parts[0], oldest_parts[1])
-                        c_row += row
-                        c_arb += arb_part
-                        c_lat += latency
+                    row, arb_part, latency = self._peel(
+                        bp, oldest_parts[0], oldest_parts[1])
+                    c_row += row
+                    c_arb += arb_part
+                    c_lat += latency
             ctx.values[iv_id] = iv
             mem.trace.clear()
             self._call_segment(compiled, ctx)
             extra = 0
             iter_parts = (0, 0, 0)
             if segment.mem_ops:
-                if not attr:
-                    extra = self._issue_mem(segment, tid, mem.trace, issue)
-                else:
-                    extra, penalty, arb = self._issue_mem_attr(
-                        segment, tid, mem.trace, issue)
+                extra, penalty, arb = self._issue_mem(segment, tid,
+                                                      mem.trace, issue)
                 if extra < 0:
                     extra = 0
-                elif attr and extra:
+                elif extra:
                     iter_parts = self._peel(extra, penalty, arb)
                 for _, nbytes, is_write, _name in mem.trace:
                     if is_write:
@@ -988,7 +946,7 @@ class _Runtime:
                         chunk_rbytes += nbytes
             retire = issue + depth + extra
             inflight.append(retire)
-            if attr:
+            if parts is not None:
                 parts.append(iter_parts)
             cursor = issue + rec_ii
             # a late response suspends the consuming stage for `extra`

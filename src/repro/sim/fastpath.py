@@ -5,7 +5,8 @@ loop one iteration at a time: functional evaluation through the
 compiled segment, then leaky-bucket issue booking, window backpressure
 and per-access DRAM booking.  This module runs the same work through a
 :class:`NestPlan` and one exec-codegen'd timing generator per plan
-(:func:`_compile_nest_driver`):
+(:func:`_compile_nest_driver`, compiled once per plan on its first
+dispatch):
 
 * a plan describes a pipelined leaf loop plus the sequential loops
   that wrap it (``levels``).  A lone pipelined loop — a top-level loop,
@@ -20,7 +21,8 @@ and per-access DRAM booking.  This module runs the same work through a
   chunk-granular view of memory that other threads write;
 * the generated driver replays the reference's control skeleton — loop
   bubbles, leading segments, the per-trip issue recurrence over
-  precomputed bank/row lists, trailing segments and critical sections —
+  precomputed bank/row lists (one chunked body, whatever an entry's trip
+  count), trailing segments and critical sections —
   with the same yields and the same shared-state mutations, at the same
   simulated times.  Profiling deposits are made eagerly at the
   reference deposit points: any deferral would reorder same-bin float
@@ -39,7 +41,7 @@ counters and attribution tables.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,9 +148,9 @@ class NestPlan:
     window: int
     dram: object
     uid: int
-    #: trip-specialized compiled drivers, keyed by trip count (0 = the
-    #: general chunked body); filled lazily by :func:`_nest_driver_for`
-    drivers: dict = field(default_factory=dict)
+    #: the compiled timing driver, built on first dispatch by
+    #: :func:`_nest_driver_for`
+    driver: object = None
 
 
 def _seq_items(body):
@@ -566,7 +568,7 @@ def _amt(value: int, factor: str = "") -> str:
     return f"{value} * {factor}" if factor else str(value)
 
 
-def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
+def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int,
                          period: int, enabled, record_on: bool, sbits: int,
                          attr: bool):
     """exec-compile the timing generator of one plan.
@@ -583,15 +585,12 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
     the reference deposit points so same-bin float accumulation keeps
     the reference order even against concurrently-running loops.
 
-    Three pipelined-entry bodies are emitted depending on ``trips``
-    (the per-entry trip count, or ``None`` when it must stay a runtime
-    value): a fully unrolled straight-line body for small trip counts
-    (attribution off only), a single-chunk loop when the entry fits one
-    chunk, and the general chunked loop otherwise.  A depth-0 plan
-    always takes the chunked loop and calls its value kernel at each
-    chunk's start; a chunk the kernel refuses runs through the
-    executor's scalar ``scalar_chunk``, with the hoisted port state
-    written back around it.  With ``attr`` the driver also makes every
+    Each pipelined entry runs one chunked body, with the per-entry trip
+    count ``T`` a runtime argument, so one driver serves every dispatch
+    of the plan.  A depth-0 plan calls its value kernel at each chunk's
+    start; a chunk the kernel refuses runs through the executor's
+    scalar ``scalar_chunk``, with the hoisted port state written back
+    around it.  With ``attr`` the driver also makes every
     ``acct.deposit`` call of the reference, with the same arguments in
     the same order.  All per-request protocol state that is
     private to this thread — the Avalon port in-flight windows and
@@ -624,9 +623,6 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
         if tr.lock is not None and tr.lock not in locks:
             locks.append(tr.lock)
     lock_ix = {lock: j for j, lock in enumerate(locks)}
-    unroll = (not attr and trips is not None and trips <= 16
-              and trips <= chunk and trips * max(1, len(mem)) <= 48)
-    single = not unroll and trips is not None and trips <= chunk
     region = loop_region(pipe.uid)
     drain = max(0, depth - rec_ii)
     # pipelined trips run through the fast body (memory request counts);
@@ -673,11 +669,10 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
         w(1, "_ad = acct.deposit")
     for li in range(k):
         w(1, f"n{li} = ns[{li}]")
-    if not unroll:
-        w(1, "inflight = _deque()")
-        w(1, "ipop = inflight.popleft")
-        w(1, "ipush = inflight.append")
-        w(1, "iclear = inflight.clear")
+    w(1, "inflight = _deque()")
+    w(1, "ipop = inflight.popleft")
+    w(1, "ipush = inflight.append")
+    w(1, "iclear = inflight.clear")
     if attr:
         # (row, arb, latency) split of each in-flight iteration's late
         # response, mirroring ``inflight`` one for one
@@ -798,10 +793,10 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
         w(ind, f"_h{h}a(completion)")
 
     def emit_p_memop(ind: int, i: int, start: int, off: int, nbytes: int,
-                     is_write: bool, pidx: str) -> None:
+                     is_write: bool) -> None:
         w(ind, f"at = issue + {start}" if start else "at = issue")
-        w(ind, f"bi = bk{i}[{pidx}]")
-        w(ind, f"row = rw{i}[{pidx}]")
+        w(ind, f"bi = bk{i}[p]")
+        w(ind, f"row = rw{i}[p]")
         w(ind, "ch = _CH[bi]")
         emit_booking(ind, is_write, transfer_of(nbytes))
         if not is_write:
@@ -838,13 +833,6 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
         w(ind, f"{pre}x = {amount} - {pre}r")
         w(ind, f"{pre}a = {arbv} if {arbv} < {pre}x else {pre}x")
 
-    def emit_bucket_load(ind: int) -> None:
-        w(ind, "s_first = state.first")
-        w(ind, f"e_next = s_first + state.count * {ii}")
-        if has_group:
-            w(ind, "g_first = group.first")
-            w(ind, f"ge_next = g_first + group.count * {group_cost}")
-
     def emit_bucket(ind: int) -> None:
         # leaky-bucket issue recurrence, strength-reduced: e_next tracks
         # first + count * ii so the earliest-issue slot is one add
@@ -876,10 +864,11 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
 
     def emit_deposit(ind, start_expr, endm1_expr, end_expr,
                      const_pairs, rt_pairs, fallback) -> None:
-        # ProfilingRecorder.add_many inlined for the single-bin case:
-        # same upsert expression per pair, zero/disabled pairs folded
-        # away at compile time; cross-bin deposits (rare) fall back to
-        # the real method with the reference pair tuple
+        # ProfilingRecorder.add_many inlined for deposits within one
+        # sampling bin or split across two adjacent bins: same upsert
+        # expression per pair, zero/disabled pairs folded away at
+        # compile time; wider deposits (rare) fall back to the real
+        # method with the reference pair tuple
         inline = [(t, a) for t, a in const_pairs if t in en_tags and a]
         rt_in = [(t, e, g) for t, e, g in rt_pairs if t in en_tags]
         if not inline and not rt_in:
@@ -952,7 +941,7 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
         if p_reads:
             w(b, "extra = 0")
         for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
-            emit_p_memop(b, i, start, off, nbytes, is_write, "p")
+            emit_p_memop(b, i, start, off, nbytes, is_write)
         if attr and p_reads:
             w(b, "if extra > 0:")
             emit_peel(b + 1, "extra", "e_pen", "e_arb", "_p")
@@ -976,34 +965,12 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
             w(b, "if retire > last_retire: last_retire = retire")
         w(b, "p += 1")
 
-    def emit_chunk_start(ind: int) -> None:
-        emit_bucket_load(ind)
-        w(ind, "stall = 0")
-        if attr:
-            w(ind, "c_ii = c_port = c_row = c_arb = c_lat = 0")
-
-    def emit_chunk_attr(ind: int, useful: str) -> None:
+    def emit_chunk_attr(ind: int) -> None:
         # the chunk's advance decomposes exactly: rec_ii per trip is
         # useful issue spacing, the rest is what delayed each issue
         if attr:
-            w(ind, f"_ad(cs, last_retire, {region}, ({useful}, c_ii, "
-                   "c_port, c_lat, c_arb, c_row, 0, 0, 0))")
-
-    def emit_entry_start(ind: int) -> None:
-        w(ind, "iclear()")
-        if attr:
-            w(ind, "pclear()")
-            w(ind, "lp_r = lp_a = 0")
-        w(ind, "cursor = now")
-        w(ind, "last_retire = cursor")
-
-    def emit_advance(ind: int) -> None:
-        w(ind, "if stall:")
-        w(ind + 1, "stall_acc += stall")
-        w(ind, "advance = cursor - now")
-        w(ind, "if advance > 0:")
-        w(ind + 1, "yield advance")
-        w(ind + 1, "now = cursor")
+            w(ind, f"_ad(cs, last_retire, {region}, ({rec_ii} * batch, "
+                   "c_ii, c_port, c_lat, c_arb, c_row, 0, 0, 0))")
 
     def emit_tail(ind: int) -> None:
         w(ind, "tail = last_retire - now")
@@ -1023,60 +990,6 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
         w(ind + 1, "yield tail")
         w(ind + 1, "now = last_retire")
 
-    def emit_pipe_unrolled(ind: int) -> None:
-        w(ind, "cs = now")
-        w(ind, "cursor = now")
-        emit_bucket_load(ind)
-        w(ind, "stall = 0")
-        for t in range(trips):
-            emit_bucket(ind)
-            if t >= window:
-                w(ind, f"head = r{t - window} - {depth}")
-                w(ind, "if head > issue:")
-                w(ind + 1, "stall += head - issue; issue = head")
-            if p_reads:
-                w(ind, "extra = 0")
-            pidx = f"p + {t}" if t else "p"
-            for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
-                emit_p_memop(ind, i, start, off, nbytes, is_write, pidx)
-            if p_reads:
-                w(ind, f"r{t} = issue + {depth} + extra")
-                w(ind, "stall += extra")
-            else:
-                w(ind, f"r{t} = issue + {depth}")
-            w(ind, f"cursor = issue + {rec_ii}")
-        if trips == 1:
-            w(ind, "last_retire = r0")
-        else:
-            w(ind, "last_retire = max(%s)"
-              % ", ".join(f"r{t}" for t in range(trips)))
-        emit_bucket_commit(ind)
-        w(ind, f"p += {trips}")
-        emit_deposit(ind, "cs", "last_retire - 1", "last_retire",
-                     [("F", pseg.flops * trips), ("I", pseg.intops * trips),
-                      ("R", prb * trips), ("W", pwb * trips)],
-                     [("S", "stall", True)],
-                     "(_PP0, _PP1, _PP2, _PP3, (_STALLS, stall))")
-        emit_advance(ind)
-        emit_tail(ind)
-
-    def emit_pipe_single(ind: int) -> None:
-        emit_entry_start(ind)
-        w(ind, "cs = now")
-        emit_chunk_start(ind)
-        w(ind, f"_pe = p + {trips}")
-        w(ind, "while p < _pe:")
-        emit_trip_loop(ind + 1)
-        emit_bucket_commit(ind)
-        emit_deposit(ind, "cs", "last_retire - 1", "last_retire",
-                     [("F", pseg.flops * trips), ("I", pseg.intops * trips),
-                      ("R", prb * trips), ("W", pwb * trips)],
-                     [("S", "stall", True)],
-                     "(_PP0, _PP1, _PP2, _PP3, (_STALLS, stall))")
-        emit_chunk_attr(ind, str(rec_ii * trips))
-        emit_advance(ind)
-        emit_tail(ind)
-
     def emit_scalar_chunk(ind: int) -> None:
         # depth-0 chunk the value kernel refused: the executor's scalar
         # interpreter runs it over the live port state
@@ -1092,10 +1005,16 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
         w(ind, f"_am(cs, last_retire, tid, ((_FLOPS, {pseg.flops} * batch), "
                f"(_INTOPS, {pseg.intops} * batch), (_MRB, _rb), "
                "(_MWB, _wb), (_STALLS, stall)))")
-        emit_chunk_attr(ind, f"{rec_ii} * batch")
+        emit_chunk_attr(ind)
 
-    def emit_pipe_big(ind: int) -> None:
-        emit_entry_start(ind)
+    def emit_pipe(ind: int) -> None:
+        # one pipelined entry of T trips, chunk by chunk
+        w(ind, "iclear()")
+        if attr:
+            w(ind, "pclear()")
+            w(ind, "lp_r = lp_a = 0")
+        w(ind, "cursor = now")
+        w(ind, "last_retire = cursor")
         w(ind, "remaining = T")
         w(ind, "while remaining > 0:")
         c = f = ind + 1
@@ -1111,26 +1030,40 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
                 w(f, ", ".join(f"bk{i}, rw{i}"
                                for i in range(len(mem))) + " = _bk")
             w(f, "p = 0")
-        emit_chunk_start(f)
+        # hoist the shared leaky buckets for the chunk
+        w(f, "s_first = state.first")
+        w(f, f"e_next = s_first + state.count * {ii}")
+        if has_group:
+            w(f, "g_first = group.first")
+            w(f, f"ge_next = g_first + group.count * {group_cost}")
+        w(f, "stall = 0")
+        if attr:
+            w(f, "c_ii = c_port = c_row = c_arb = c_lat = 0")
         w(f, "_pe = p + batch")
         w(f, "while p < _pe:")
         emit_trip_loop(f + 1)
         emit_bucket_commit(f)
-        big_rt = [(t, f"{v} * batch", False)
-                  for t, v in (("F", pseg.flops), ("I", pseg.intops),
-                               ("R", prb), ("W", pwb)) if v]
+        pipe_rt = [(t, f"{v} * batch", False)
+                   for t, v in (("F", pseg.flops), ("I", pseg.intops),
+                                ("R", prb), ("W", pwb)) if v]
         emit_deposit(f, "cs", "last_retire - 1", "last_retire", [],
-                     big_rt + [("S", "stall", True)],
+                     pipe_rt + [("S", "stall", True)],
                      f"((_FLOPS, {_amt(pseg.flops, 'batch')}), "
                      f"(_INTOPS, {_amt(pseg.intops, 'batch')}), "
                      f"(_MRB, {_amt(prb, 'batch')}), "
                      f"(_MWB, {_amt(pwb, 'batch')}), (_STALLS, stall))")
-        emit_chunk_attr(f, f"{rec_ii} * batch")
+        emit_chunk_attr(f)
         if not k:
             w(f, "_pt += batch")
             w(c, "iv += step * batch")
         w(c, "remaining -= batch")
-        emit_advance(c)
+        # re-synchronize with the other thread processes
+        w(c, "if stall:")
+        w(c + 1, "stall_acc += stall")
+        w(c, "advance = cursor - now")
+        w(c, "if advance > 0:")
+        w(c + 1, "yield advance")
+        w(c + 1, "now = cursor")
         emit_tail(ind)
 
     def emit_seg_attr(ind: int, seg, end: str, lat_arb_row: str) -> None:
@@ -1271,12 +1204,7 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
             w(b, f"yield {d}")
             w(b, f"now += {d}")
         if li == k - 1:
-            if unroll:
-                emit_pipe_unrolled(b)
-            elif single:
-                emit_pipe_single(b)
-            else:
-                emit_pipe_big(b)
+            emit_pipe(b)
         else:
             emit_level(li + 1, b)
         idx = "_e" if li == k - 1 else f"_q{li}"
@@ -1296,7 +1224,7 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
     if k:
         emit_level(0, 1)
     else:
-        emit_pipe_big(1)
+        emit_pipe(1)
     w(1, "if stall_acc:")
     w(2, "rt.stalls[tid] += stall_acc")
     emit_ports_store(1)
@@ -1358,11 +1286,6 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
         namespace["_RUN"] = ThreadState.RUNNING
         for j, lock in enumerate(locks):
             namespace[f"_LK{j}"] = lock
-    if trips is not None:
-        namespace["_PP0"] = (EventKind.FLOPS, pseg.flops * trips)
-        namespace["_PP1"] = (EventKind.INTOPS, pseg.intops * trips)
-        namespace["_PP2"] = (EventKind.MEM_READ_BYTES, prb * trips)
-        namespace["_PP3"] = (EventKind.MEM_WRITE_BYTES, pwb * trips)
     for li, lvl in enumerate(levels):
         for si, (_c, _d, flops, intops, _r) in enumerate(lvl.leading):
             namespace[f"_PL{li}_{si}"] = ((EventKind.FLOPS, flops),
@@ -1390,34 +1313,24 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int, trips,
                 hoists.append(f"    _b{t}g = _b{t}.get")
         lines[hoist_at:hoist_at] = hoists
     source = "\n".join(lines)
-    code = compile(source,
-                   f"<ndrive:{nplan.uid}:{trips if trips else 'N'}>", "exec")
+    code = compile(source, f"<ndrive:{nplan.uid}>", "exec")
     exec(code, namespace)
     return namespace["_ndrive"]
 
 
-def _nest_driver_for(nplan: NestPlan, runtime, trips):
-    """The trip-specialized driver for this dispatch, compiled on demand.
+def _nest_driver_for(nplan: NestPlan, runtime):
+    """The plan's timing driver, compiled on its first dispatch."""
 
-    Drivers are cached on the plan, keyed by the per-entry trip count
-    when it is small enough to specialize (unrolled or single-chunk
-    bodies) and under key ``0`` for the general chunked body, which is
-    the only body of a depth-0 plan.
-    """
-
-    key = trips if nplan.levels and trips <= nplan.chunk else 0
-    driver = nplan.drivers.get(key)
-    if driver is None:
+    if nplan.driver is None:
         rec = runtime.recorder
-        driver = _compile_nest_driver(
+        nplan.driver = _compile_nest_driver(
             nplan, runtime.ports.outstanding_limit,
-            runtime.semaphore.grant_latency, trips if key else None,
-            rec.config.sampling_period, frozenset(rec._enabled_kinds),
+            runtime.semaphore.grant_latency, rec.config.sampling_period,
+            frozenset(rec._enabled_kinds),
             rec.config.record_states and rec.config.enabled,
             rec.config.state_record_bits(rec.num_threads),
             runtime.attribution)
-        nplan.drivers[key] = driver
-    return driver
+    return nplan.driver
 
 
 def _bank_rows(runtime, mem, idxs) -> tuple:
@@ -1471,7 +1384,7 @@ def prepare_loop(runtime, nplan: NestPlan, tid: int, ctx, state, group,
     for chunks that fall back to the scalar interpreter.
     """
 
-    driver = _nest_driver_for(nplan, runtime, trips)
+    driver = _nest_driver_for(nplan, runtime)
     return driver(runtime, tid, ctx, state, group, acct, trips, lower,
                   step, lrt)
 
@@ -1595,7 +1508,7 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
             tbufs.append(buf.base_addr)
             tbufs.append(buf.elem_bytes)
 
-    driver = _nest_driver_for(nplan, runtime, trips)
+    driver = _nest_driver_for(nplan, runtime)
     gen = driver(runtime, tid, ctx, state, group, acct, trips,
                  tuple(n for _lo, _st, n in bounds_resolved), fins, tins,
                  _bank_rows(runtime, nplan.mem, idxs), tuple(tbufs))

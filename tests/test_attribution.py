@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pytest
 
 from repro.apps import run_gemm, run_pi
@@ -19,6 +20,7 @@ from repro.cli import main
 from repro.paraver import reconstruct_run, write_trace
 from repro.paraver.format import ATTR_EVENT_BASE
 from repro.profiling.attribution import AttributionTable, Cause
+from repro.profiling.config import ATTRIBUTION_EVENTS
 
 from .conftest import sim_config
 
@@ -105,6 +107,16 @@ class TestZeroCostWhenOff:
     def test_cycles_unchanged(self, version):
         assert gemm(version, "fast", True).cycles == \
             gemm(version, "fast", False).cycles
+
+    @pytest.mark.parametrize("mode", ("reference", "fast"))
+    @pytest.mark.parametrize("version", ("naive", "blocked"))
+    def test_states_and_counters_unchanged(self, version, mode):
+        on = gemm(version, mode, True).result.trace
+        off = gemm(version, mode, False).result.trace
+        assert on.states == off.states
+        assert set(on.events) - set(ATTRIBUTION_EVENTS) == set(off.events)
+        for kind, series in off.events.items():
+            assert np.array_equal(on.events[kind], series), kind
 
     def test_off_trace_has_no_attr_records(self, tmp_path):
         run = gemm("naive", "fast", False)

@@ -3,7 +3,8 @@
 The nest fast path flattens a sequential loop (or stack of sequential
 loops) around a pipelined inner loop into one mega-batch.  Like the
 per-entry fast path it is a pure performance optimization: for every
-nest shape — two-level, three-level, uneven trip counts — both
+nest shape — two-level, three-level, uneven trip counts, per-thread
+trip counts on both sides of a chunk edge — both
 ``exec_mode`` settings must produce bit-identical cycles, ``.prv``
 bytes and :class:`AttributionTable`s, with attribution on and off.
 Entry-dependent inner bounds are not flattenable and must leave
@@ -73,6 +74,28 @@ void mm(float* a, float* b, float* out, int n, int m, int k) {
         }
         out[i*m+j] = s;
       }
+    }
+  }
+}
+"""
+
+# per-thread inner bound m + t: invariant across one thread's entries,
+# so the nest flattens, but with m = 3 and loop_chunk = 4 the four
+# threads run 3, 4, 5 and 6 trips per entry — one driver serves entries
+# below, at and past the chunk edge
+RAGGED_SRC = """
+void ragged(float* a, float* b, float* out, int n, int m, int w) {
+  #pragma omp target parallel map(to:a[0:n*w], b[0:w]) \\
+      map(from:out[0:n]) num_threads(4)
+  {
+    int t = omp_get_thread_num();
+    int nt = omp_get_num_threads();
+    for (int i = t; i < n; i += nt) {
+      float s = 0;
+      for (int j = 0; j < m + t; ++j) {
+        s += a[i*w+j] * b[j];
+      }
+      out[i] = s;
     }
   }
 }
@@ -177,6 +200,11 @@ def _buffers(src):
         return dict(a=rng.standard_normal(n * k).astype(np.float32),
                     b=rng.standard_normal(k * m).astype(np.float32),
                     out=np.zeros(n * m, dtype=np.float32), n=n, m=m, k=k)
+    if src is RAGGED_SRC:
+        n, m, w = 10, 3, 6
+        return dict(a=rng.standard_normal(n * w).astype(np.float32),
+                    b=rng.standard_normal(w).astype(np.float32),
+                    out=np.zeros(n, dtype=np.float32), n=n, m=m, w=w)
     if src is TRIANGULAR_SRC:
         n = 9
         return dict(a=rng.standard_normal(n * n).astype(np.float32),
@@ -190,8 +218,13 @@ def _buffers(src):
                 out=np.zeros(2, dtype=np.float32), n=n)
 
 
+#: per-kernel SimConfig overrides
+_SIM_OPTIONS = {RAGGED_SRC: {"loop_chunk": 4}}
+
+
 def _run(src, mode, attribution=False):
-    cfg = sim_config(mode, attribution=attribution)
+    cfg = sim_config(mode, attribution=attribution,
+                     **_SIM_OPTIONS.get(src, {}))
     prog = Program(src, sim_config=cfg)
     buffers = _buffers(src)
     arrays = {name: value.copy() if isinstance(value, np.ndarray) else value
@@ -229,6 +262,7 @@ NEST_SOURCES = {
     "triple": TRIPLE_SRC,
     "triangular": TRIANGULAR_SRC,
     "nest_rmw": NEST_RMW_SRC,
+    "ragged": RAGGED_SRC,
 }
 
 
@@ -274,7 +308,7 @@ class TestNestDifferential:
 # telemetry: the flatten / no-flatten / fallback decisions
 # ----------------------------------------------------------------------
 class TestNestTelemetry:
-    @pytest.mark.parametrize("name", ["matvec", "triple"])
+    @pytest.mark.parametrize("name", ["matvec", "triple", "ragged"])
     def test_flattenable_nests_flatten_cleanly(self, name):
         session = telemetry.configure(enabled=True)
         _run(NEST_SOURCES[name], "fast")
@@ -302,11 +336,12 @@ class TestNestTelemetry:
         assert counters.get("sim.fastpath.entries_batched", 0) == 0
 
     def test_attribution_on_nests_flatten(self):
-        session = telemetry.configure(enabled=True)
-        _run(MATVEC_SRC, "fast", attribution=True)
-        counters = session.counters
-        assert counters.get("sim.fastpath.nests_flattened", 0) > 0
-        assert counters.get("sim.fastpath.nest_fallbacks", 0) == 0
+        for src in (MATVEC_SRC, RAGGED_SRC):
+            session = telemetry.configure(enabled=True)
+            _run(src, "fast", attribution=True)
+            counters = session.counters
+            assert counters.get("sim.fastpath.nests_flattened", 0) > 0
+            assert counters.get("sim.fastpath.nest_fallbacks", 0) == 0
 
 
 class TestNestForcedFallback:
