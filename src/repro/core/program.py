@@ -100,6 +100,16 @@ class Program:
     def name(self) -> str:
         return self.function.name
 
+    @property
+    def simulation(self) -> Simulation:
+        """The simulation :meth:`run` uses when given no ``sim_config``.
+
+        Its ``plan_rejections`` say which pipelined loops left the fast
+        path, and why.
+        """
+
+        return self._simulation
+
     # ------------------------------------------------------------------
     def run(self, *, sim_config: Optional[SimConfig] = None,
             clock_mhz: Optional[float] = None, **args: Any) -> ProgramResult:

@@ -54,7 +54,8 @@ from .fastpath import (
     NestPlan, build_loop_plan, build_nest_plan, prepare_loop, prepare_nest,
 )
 from .interp import (
-    CompiledSegment, KernelFunctionalContext, ThreadMemView, compile_segment,
+    CompiledSegment, KernelFunctionalContext, ThreadMemView, VectorizeError,
+    compile_segment,
 )
 from .memory import ExternalMemory, PortSet
 from .sync import Barrier, HardwareSemaphore
@@ -196,6 +197,10 @@ class Simulation:
         self.kernel: Kernel = accelerator.kernel
         self._compiled: dict[int, CompiledSegment] = {}
         self._nest_plans: dict[int, Optional[NestPlan]] = {}
+        #: pipelined-loop uid -> why it has no fast-path plan and runs
+        #: on the scalar interpreter (the vectorizer's reason); filled
+        #: as fast-mode runs first reach each loop
+        self.plan_rejections: dict[int, str] = {}
         self._external_uses = self._compute_external_uses()
 
     # ------------------------------------------------------------------
@@ -241,8 +246,12 @@ class Simulation:
         if item.uid not in self._nest_plans:
             schedule = self.acc.schedule
             if item.pipelined:
-                plan = build_loop_plan(item, schedule, self._external_uses,
-                                       self.config)
+                try:
+                    plan = build_loop_plan(item, schedule,
+                                           self._external_uses, self.config)
+                except VectorizeError as exc:
+                    plan = None
+                    self.plan_rejections[item.uid] = str(exc)
             else:
                 plan = build_nest_plan(item, schedule, self._external_uses,
                                        self.config, self._get_compiled)

@@ -15,10 +15,13 @@ dispatch):
 * a nest with levels evaluates all ``entries x trips`` iterations in
   one nest-mode numpy value kernel when it is dispatched
   (:func:`prepare_nest`; entry boundaries become reset points of the
-  accumulator scan).  A depth-0 plan calls its value kernel once per
-  chunk (``SimConfig.loop_chunk`` trips), at the chunk's start
-  (:func:`prepare_loop`), so a lone loop keeps the reference's
-  chunk-granular view of memory that other threads write;
+  accumulator scan).  A depth-0 plan whose segment touches memory calls
+  its value kernel once per chunk (``SimConfig.loop_chunk`` trips), at
+  the chunk's start, so a lone loop keeps the reference's
+  chunk-granular view of memory that other threads write; a memory-free
+  one has no such view to keep and evaluates the whole dispatch up
+  front, in blocks of at most :data:`KERNEL_BLOCK` trips
+  (:func:`prepare_loop`);
 * the generated driver replays the reference's control skeleton — loop
   bubbles, leading segments, the per-trip issue recurrence over
   precomputed bank/row lists (one chunked body, whatever an entry's trip
@@ -35,7 +38,8 @@ A :class:`~repro.sim.interp.VectorFallback` (raised before any
 functional side effect) sends a nest back to the reference per-entry
 path, and a depth-0 chunk to the scalar interpreter for that chunk
 only, so both modes produce bit-identical cycles, traces, stalls, DRAM
-counters and attribution tables.
+counters and attribution tables.  Every such fallback is a store guard,
+so a memory-free kernel never raises one.
 """
 
 from __future__ import annotations
@@ -61,6 +65,13 @@ __all__ = ["NestPlan", "build_loop_plan", "build_nest_plan", "prepare_loop",
 
 
 _IOTA = np.arange(64, dtype=np.int64)
+
+#: most trips one value-kernel call of a memory-free lone loop covers:
+#: the kernel holds a few arrays of this length per op until it returns
+KERNEL_BLOCK = 4096
+
+#: opcodes that give a pipelined segment a view of memory
+_MEM_OPCODES = frozenset((Opcode.LOAD, Opcode.STORE, Opcode.PRELOAD))
 
 
 def _iota(n: int) -> np.ndarray:
@@ -148,6 +159,9 @@ class NestPlan:
     window: int
     dram: object
     uid: int
+    #: the pipelined segment loads, stores or preloads; a depth-0 plan
+    #: then calls its value kernel per chunk, else once per dispatch
+    touches_memory: bool
     #: the compiled timing driver, built on first dispatch by
     #: :func:`_nest_driver_for`
     driver: object = None
@@ -237,21 +251,23 @@ def _finish_plan(levels, pipe: LoopNode, pseg: Segment, vseg, trails,
         group_id=group_id, group_cost=group_cost, trails=tuple(trails),
         input_plan=input_plan, entry_vars=entry_vars,
         entry_var_float=entry_var_float, chunk=max(1, config.loop_chunk),
-        window=max(1, config.pipeline_window), dram=config.dram, uid=uid)
+        window=max(1, config.pipeline_window), dram=config.dram, uid=uid,
+        touches_memory=any(op.opcode in _MEM_OPCODES for op in pseg.ops))
 
 
 def build_loop_plan(item: LoopNode, schedule, external_uses: set[int],
-                    config):
-    """A lone pipelined loop as a depth-0 plan (None if unsupported)."""
+                    config) -> NestPlan:
+    """A lone pipelined loop as a depth-0 plan.
+
+    Raises :class:`~repro.sim.interp.VectorizeError`, saying why, when
+    the loop has no plan and runs on the scalar interpreter.
+    """
 
     pseg = _pipe_segment(item)
     if pseg is None:
-        return None
-    try:
-        vseg = compile_segment_vectorized(pseg, external_uses,
-                                          item.op.defined[0].id)
-    except VectorizeError:
-        return None
+        raise VectorizeError("loop body is not a single segment")
+    vseg = compile_segment_vectorized(pseg, external_uses,
+                                      item.op.defined[0].id)
     return _finish_plan((), item, pseg, vseg, (), (), (), (), schedule,
                         config, item.uid)
 
@@ -587,12 +603,12 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int,
 
     Each pipelined entry runs one chunked body, with the per-entry trip
     count ``T`` a runtime argument, so one driver serves every dispatch
-    of the plan.  A depth-0 plan calls its value kernel at each chunk's
-    start; a chunk the kernel refuses runs through the executor's
-    scalar ``scalar_chunk``, with the hoisted port state written back
-    around it.  With ``attr`` the driver also makes every
-    ``acct.deposit`` call of the reference, with the same arguments in
-    the same order.  All per-request protocol state that is
+    of the plan.  A depth-0 plan whose segment touches memory calls its
+    value kernel at each chunk's start; a chunk the kernel refuses runs
+    through the executor's scalar ``scalar_chunk``, with the hoisted
+    port state written back around it.  With ``attr`` the driver also
+    makes every ``acct.deposit`` call of the reference, with the same
+    arguments in the same order.  All per-request protocol state that is
     private to this thread — the Avalon port in-flight windows and
     in-order completion clamps, and the semaphore acquisition counters
     — is hoisted into locals for the whole nest and written back once;
@@ -606,6 +622,10 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int,
     group_cost, chunk, window, dram = (nplan.group_cost, nplan.chunk,
                                        nplan.window, nplan.dram)
     k = len(levels)
+    # only a depth-0 plan whose segment touches memory runs its value
+    # kernel inside the driver, per chunk; prepare_loop runs a
+    # memory-free one's up front and prepare_nest a nest's
+    per_chunk = not k and nplan.touches_memory
     ii, rec_ii, depth = pipe.ii, pipe.rec_ii, pipe.depth
     p_reads = any(not m[3] for m in mem)
     p_writes = any(m[3] for m in mem)
@@ -680,7 +700,7 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int,
         w(1, "ppop = parts.popleft")
         w(1, "ppush = parts.append")
         w(1, "pclear = parts.clear")
-    elif not k:
+    elif per_chunk:
         w(1, "parts = None")
     w(1, "gap = state._GAP")
     if any_mem:
@@ -699,7 +719,7 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int,
         for i in range(len(mem)):
             w(1, f"bk{i} = bkrw[{2 * i}]")
             w(1, f"rw{i} = bkrw[{2 * i + 1}]")
-    else:
+    elif per_chunk:
         w(1, "_pt = 0")
         w(1, "_lp = _Z3")
     if trails:
@@ -1020,7 +1040,7 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int,
         c = f = ind + 1
         w(c, f"batch = {chunk} if remaining > {chunk} else remaining")
         w(c, "cs = cursor")
-        if not k:
+        if per_chunk:
             w(c, "_bk = _kernel(rt, _P, ctx, iv, step, batch)")
             w(c, "if _bk is None:")
             emit_scalar_chunk(c + 1)
@@ -1053,7 +1073,7 @@ def _compile_nest_driver(nplan: NestPlan, limit: int, grant: int,
                      f"(_MRB, {_amt(prb, 'batch')}), "
                      f"(_MWB, {_amt(pwb, 'batch')}), (_STALLS, stall))")
         emit_chunk_attr(f)
-        if not k:
+        if per_chunk:
             w(f, "_pt += batch")
             w(c, "iv += step * batch")
         w(c, "remaining -= batch")
@@ -1375,15 +1395,44 @@ def _chunk_kernel(runtime, nplan: NestPlan, ctx, iv: int, step: int,
     return _bank_rows(runtime, nplan.mem, idxs)
 
 
+def _dispatch_kernel(runtime, nplan: NestPlan, ctx, iv: int, step: int,
+                     trips: int) -> None:
+    """Run a memory-free depth-0 loop's value kernel for a whole dispatch.
+
+    Blocks of at most :data:`KERNEL_BLOCK` trips chain through the
+    carried vars, and chained scans equal one strict left fold, so the
+    values match a per-chunk evaluation bit for bit.  Nothing else can
+    observe them early: the loop reads and writes no memory, and
+    dataflow siblings that share its vars or values depend on it.
+    """
+
+    vseg = nplan.vseg
+    values = ctx.values
+    args = [values[vid] for vid in vseg.inputs]
+    for start in range(0, trips, KERNEL_BLOCK):
+        n = min(KERNEL_BLOCK, trips - start)
+        outs, _idxs = vseg.fn(ctx, ctx.vars, ctx.mem,
+                              iv + step * (start + _iota(n)), n, *args)
+    for vid, value in zip(vseg.outputs, outs):
+        values[vid] = value
+    values[nplan.p_iv] = iv + step * (trips - 1)
+    runtime.fp_batches += -(-trips // nplan.chunk)
+    runtime.fp_iters += trips
+
+
 def prepare_loop(runtime, nplan: NestPlan, tid: int, ctx, state, group,
                  acct, lrt: tuple, lower: int, step: int, trips: int):
     """The timing driver of one depth-0 loop dispatch.
 
-    Value kernels run inside the driver, one per chunk at the chunk's
-    start; ``lrt`` is the executor's per-loop invariants tuple, used
-    for chunks that fall back to the scalar interpreter.
+    A memory-free loop's values are all evaluated here, up front; a
+    loop that touches memory runs its value kernels inside the driver,
+    one per chunk at the chunk's start, and ``lrt``, the executor's
+    per-loop invariants tuple, serves chunks that fall back to the
+    scalar interpreter.
     """
 
+    if not nplan.touches_memory:
+        _dispatch_kernel(runtime, nplan, ctx, lower, step, trips)
     driver = _nest_driver_for(nplan, runtime)
     return driver(runtime, tid, ctx, state, group, acct, trips, lower,
                   step, lrt)

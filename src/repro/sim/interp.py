@@ -595,19 +595,28 @@ class _VectorCodegen:
         # dispatches it to _emit_scan.  Intermediate writes (an unrolled
         # reduction re-writes the var once per step) are dead: the last
         # trip's final value subsumes them and mid-segment var state is
-        # unobservable.
+        # unobservable.  So each chain link may feed only the next link
+        # and those dead writes.
         consumed = set(reads) | set(writes[:-1])
         info: dict = {"read": reads[0], "write": writes[-1], "rres": rres}
+        write_set = set(writes)
+
+        def chain_link(value, consumer: int) -> int:
+            index = self.defidx.get(value.id)
+            if index is None or value.id in self.external_uses or any(
+                    u != consumer and u not in write_set
+                    for u in self.uses.get(value.id, ())):
+                raise VectorizeError("carried chain escapes")
+            return index
+
+        cur = write_op.operands[1]
+        consumer = writes[-1]
         if isinstance(rres.type, VectorType):
-            if len(writes) != 1:
-                raise VectorizeError("unsupported carried-variable shape")
+            # lane-wise chain: one INSERT per updated lane (an unrolled
+            # ``sum[j] += ...``), each lane scanned on its own
             lane_deltas: dict[int, tuple] = {}
-            cur = write_op.operands[1]
             while cur.id != rres.id:
-                index = self.defidx.get(cur.id)
-                if index is None or self._use_count(cur.id) != 1 \
-                        or cur.id in self.external_uses:
-                    raise VectorizeError("carried chain escapes")
+                index = chain_link(cur, consumer)
                 ins = self.ops[index]
                 if ins.opcode is not Opcode.INSERT:
                     raise VectorizeError("vector recurrence is not "
@@ -640,20 +649,13 @@ class _VectorCodegen:
                 else:
                     raise VectorizeError("non-additive lane recurrence")
                 consumed.update((index, uidx, eidx))
+                consumer = index
                 cur = ins.operands[0]
             info["lane_deltas"] = lane_deltas
         else:
             deltas: list[tuple] = []
-            write_set = set(writes)
-            cur = write_op.operands[1]
-            consumer = writes[-1]
             while cur.id != rres.id:
-                index = self.defidx.get(cur.id)
-                allowed = write_set | {consumer}
-                if index is None or cur.id in self.external_uses or \
-                        any(u not in allowed
-                            for u in self.uses.get(cur.id, ())):
-                    raise VectorizeError("carried chain escapes")
+                index = chain_link(cur, consumer)
                 link = self.ops[index]
                 if link.opcode is Opcode.ADD:
                     a, b = link.operands
